@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cap", type=int, default=runner.DEFAULT_SAFETY_CAP)
 
     integrate = sub.add_parser("integrate", help="evaluate one weighted integral")
-    integrate.add_argument("--kind", required=True, choices=["ft", "fu", "ff1", "ff2"])
+    integrate.add_argument("--kind", required=True, choices=list(runner.INTEGRALS))
     integrate.add_argument("--j", type=int, required=True)
     integrate.add_argument("--k", type=int, required=True)
 
@@ -93,16 +93,15 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    workers = args.workers if args.workers is not None else runner.default_worker_count()
-    config = runner.RunConfig(
-        suite=args.suite,
-        jmax=args.jmax,
-        qmax=args.qmax,
-        workers=workers,
-        output_format=args.output_format,
-        safety_cap=args.cap,
-    )
     try:
+        workers = args.workers if args.workers is not None else runner.default_worker_count()
+        config = runner.RunConfig(
+            suite=args.suite,
+            jmax=args.jmax,
+            qmax=args.qmax,
+            workers=workers,
+            safety_cap=args.cap,
+        )
         config.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -117,16 +116,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    j, k = args.j, args.k
+    _, evaluate = runner.INTEGRALS[args.kind]
     try:
-        if args.kind == "ft":
-            value, report = integrals.integral_fib_cheb_t(j, k)
-        elif args.kind == "fu":
-            value, report = integrals.integral_fib_cheb_u(j, k)
-        elif args.kind == "ff1":
-            value, report = integrals.integral_fib_fib(j, k, integrals.Weight.FIRST_KIND)
-        else:
-            value, report = integrals.integral_fib_fib(j, k, integrals.Weight.SECOND_KIND)
+        value, report = evaluate(args.j, args.k)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

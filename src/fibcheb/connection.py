@@ -25,7 +25,6 @@ from .sequences import (
     chebyshev_u,
     fibonacci_poly,
     index_for_degree,
-    index_prefix,
 )
 
 
@@ -61,9 +60,6 @@ class ExpansionTerm:
     m: int
     target_index: int
     coefficient: Fraction
-
-    def target_label(self, basis: Basis) -> str:
-        return f"{index_prefix(basis)}_{self.target_index}"
 
 
 @dataclass(frozen=True)
@@ -128,26 +124,26 @@ def _coefficient(j: int, m: int, direction: Direction) -> Fraction:
     )
 
 
+def terms(j: int, direction: Direction):
+    """Yield (m, target index, coefficient) of the degree-j expansion, m = 0 .. floor(j/2).
+
+    The coefficient is evaluated verbatim from the closed-form sum for the
+    chosen direction; the target index is j-2m+1 for Fibonacci targets and
+    j-2m for Chebyshev targets.  Unlike ``expand`` this neither caches nor
+    checks j against ``direction.min_index``: the corollaries evaluate the
+    same sums at supplied basis values, and some of them need j = 0.
+    """
+    shift = 1 if direction.target_basis is Basis.FIBONACCI else 0
+    for m in range(j // 2 + 1):
+        yield m, j - 2 * m + shift, _coefficient(j, m, direction)
+
+
 @lru_cache(maxsize=None)
 def expand(j: int, direction: Direction) -> Expansion:
-    """Connection coefficients of the degree-j source over the target family.
-
-    The coefficient of each target element is evaluated verbatim from the
-    closed-form sum for the chosen direction; the target index is j-2m+1 for
-    Fibonacci targets and j-2m for Chebyshev targets, m = 0 .. floor(j/2).
-    """
+    """Connection coefficients of the degree-j source over the target family."""
     if j < direction.min_index:
         raise ValueError(f"{direction.value} expansion requires j >= {direction.min_index}, got {j}")
-    fib_target = direction.target_basis is Basis.FIBONACCI
-    terms = tuple(
-        ExpansionTerm(
-            m,
-            (j - 2 * m + 1) if fib_target else (j - 2 * m),
-            _coefficient(j, m, direction),
-        )
-        for m in range(j // 2 + 1)
-    )
-    return Expansion(j, direction, terms)
+    return Expansion(j, direction, tuple(ExpansionTerm(*term) for term in terms(j, direction)))
 
 
 def oracle_expand(p: Polynomial, basis: Basis) -> list[tuple[int, Fraction]]:

@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import RationalLike
-from .sequences import fibonacci_number
 
 
 class NonTerminatingError(ValueError):
@@ -46,13 +45,6 @@ class Hyp2F1:
         object.__setattr__(self, "b", Fraction(b))
         object.__setattr__(self, "c", Fraction(c))
         object.__setattr__(self, "z", Fraction(z))
-
-    @property
-    def is_terminating(self) -> bool:
-        return (
-            _as_nonpositive_int(self.a) is not None
-            or _as_nonpositive_int(self.b) is not None
-        )
 
     def termination_index(self) -> int:
         """The index K of the last nonvanishing term."""
@@ -121,15 +113,6 @@ def fibonacci_as_2f1(n: int, variant: FibonacciSeriesVariant) -> Fraction:
     if variant is FibonacciSeriesVariant.ARG_5:
         return Fraction(n, 2 ** (n - 1)) * hyp2f1(a, b, Fraction(3, 2), 5)
     raise ValueError(f"unknown variant {variant}")
-
-
-def fibonacci_as_2f1_both(n: int) -> tuple[Fraction, Fraction, int]:
-    """Both representations plus the recurrence value, for cross-checking."""
-    return (
-        fibonacci_as_2f1(n, FibonacciSeriesVariant.ARG_MINUS_4),
-        fibonacci_as_2f1(n, FibonacciSeriesVariant.ARG_5),
-        fibonacci_number(n),
-    )
 
 
 def pfaff_transform(series: Hyp2F1) -> tuple[Fraction, Hyp2F1]:

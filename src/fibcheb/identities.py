@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .hypergeometric import hyp2f1
+from .connection import Direction, terms
+from .hypergeometric import FibonacciSeriesVariant, fibonacci_as_2f1, hyp2f1
 from .report import Check, Report, make_report
 from .scalars import GaussianRational, I, binomial, pochhammer, sqrt_pi_over_gamma
 from .sequences import (
@@ -36,39 +37,23 @@ from .sequences import (
     fibonacci_poly,
 )
 
+
+def _expansion_at(j: int, direction: Direction, value_at):
+    """The degree-j connection formula with basis values supplied by ``value_at``.
+
+    Sums c(j, m) * value_at(target index) over the terms of the expansion, so
+    every corollary that evaluates an expansion at a special point (x = 1,
+    a Laurent point, cos t, i/2, -2i) reuses the one transcription of its
+    coefficients in ``connection``.  The first term starts the sum, so a
+    Gaussian sum pays no addition to 0.
+    """
+    first, *rest = (c * value_at(n) for _, n, c in terms(j, direction))
+    return sum(rest, first)
+
+
 # ---------------------------------------------------------------------------
 # Weighted Fibonacci-number sums (values of the expansions at x = 1)
 # ---------------------------------------------------------------------------
-
-
-def _sum_T_shape(j: int, value_at) -> Fraction:
-    """The first-kind weighted sum with F-values supplied by ``value_at``."""
-    total = Fraction(0)
-    for m in range(j // 2 + 1):
-        total += (
-            Fraction((-1) ** m)
-            * binomial(j - m, j - 2 * m)
-            * Fraction(2) ** (j - 2 * m - 1)
-            / (j - m)
-            * hyp2f1(-m, j - m, j - 2 * m + 2, -4)
-            * value_at(j - 2 * m + 1)
-        )
-    return total
-
-
-def _sum_U_shape(j: int, value_at):
-    """The second-kind weighted sum (without its 2^j prefactor)."""
-    total = None
-    for m in range(j // 2 + 1):
-        term = (
-            Fraction((-1) ** (m + 1))
-            * binomial(j, m)
-            * Fraction(-j + 2 * m - 1, j - m + 1)
-            * hyp2f1(-m, -j + m - 1, -j, Fraction(-1, 4))
-            * value_at(j - 2 * m + 1)
-        )
-        total = term if total is None else total + term
-    return total
 
 
 def verify_cor_sum_T(j: int) -> Report:
@@ -80,8 +65,8 @@ def verify_cor_sum_T(j: int) -> Report:
     """
     if j < 1:
         raise ValueError(f"identity stated for j >= 1, got {j}")
-    printed = _sum_T_shape(j, lambda n: Fraction(fibonacci_number(n)))
-    corrected = j * printed
+    corrected = _expansion_at(j, Direction.T_IN_F, fibonacci_number)
+    printed = corrected / j
     return make_report(
         "cor5.1-T",
         {"j": j},
@@ -96,7 +81,7 @@ def verify_cor_sum_U(j: int) -> Report:
     """Weighted Fibonacci-number sum equal to U_j(1) = j + 1 (exact as printed)."""
     if j < 1:
         raise ValueError(f"identity stated for j >= 1, got {j}")
-    value = Fraction(2) ** j * _sum_U_shape(j, lambda n: Fraction(fibonacci_number(n)))
+    value = _expansion_at(j, Direction.U_IN_F, fibonacci_number)
     return make_report("cor5.1-U", {"j": j}, [Check("sum", value, Fraction(j + 1))])
 
 
@@ -106,22 +91,13 @@ def verify_cor_sum_U(j: int) -> Report:
 
 
 def _fib_sum_first_kind(j: int) -> Fraction:
-    return sum(
-        Fraction(1) / c_norm(j - 2 * m)
-        * binomial(j - m, j - 2 * m)
-        * Fraction(2) ** (-j + 2 * m + 1)
-        * hyp2f1(-m, j - m + 1, j - 2 * m + 1, Fraction(-1, 4))
-        for m in range(j // 2 + 1)
-    )
+    """F_{j+1} as the F-in-T expansion at x = 1, where T_n(1) = 1."""
+    return _expansion_at(j, Direction.F_IN_T, lambda n: 1)
 
 
 def _fib_sum_second_kind(j: int) -> Fraction:
-    return Fraction(1, 2**j) * sum(
-        binomial(j, m)
-        * Fraction((j - 2 * m + 1) ** 2, j - m + 1)
-        * hyp2f1(-m, -j + m - 1, -j, -4)
-        for m in range(j // 2 + 1)
-    )
+    """F_{j+1} as the F-in-U expansion at x = 1, where U_n(1) = n + 1."""
+    return _expansion_at(j, Direction.F_IN_U, lambda n: n + 1)
 
 
 def verify_fib_expressions(j: int) -> Report:
@@ -219,9 +195,9 @@ def verify_complex_identities(n: int) -> Report:
     fib_next = Fraction(fibonacci_number(n + 1))
     fib_triple = Fraction(fibonacci_number(3 * (n + 1)))
 
-    sum_half_i = Fraction(2) ** n * _sum_U_shape(n, lambda k: fibonacci_poly(k)(half_i))
-    sum_minus_two_i = Fraction(2) ** (n + 1) * _sum_U_shape(
-        n, lambda k: fibonacci_poly(k)(minus_two_i)
+    sum_half_i = _expansion_at(n, Direction.U_IN_F, lambda k: fibonacci_poly(k)(half_i))
+    sum_minus_two_i = 2 * _expansion_at(
+        n, Direction.U_IN_F, lambda k: fibonacci_poly(k)(minus_two_i)
     )
 
     checks = [
@@ -249,14 +225,7 @@ def verify_laurent_identity(j: int, x0: Fraction) -> Report:
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     lhs = fibonacci_poly(j + 1)((x0 + 1 / x0) / 2)
-    rhs = sum(
-        Fraction(1) / c_norm(j - 2 * m)
-        * binomial(j - m, j - 2 * m)
-        * Fraction(2) ** (-j + 2 * m)
-        * hyp2f1(-m, j - m + 1, j - 2 * m + 1, Fraction(-1, 4))
-        * (x0 ** (j - 2 * m) + x0 ** (2 * m - j))
-        for m in range(j // 2 + 1)
-    )
+    rhs = _expansion_at(j, Direction.F_IN_T, lambda n: (x0**n + x0**-n) / 2)
     return make_report("laurent", {"j": j, "x0": x0}, [Check("point-value", lhs, rhs)])
 
 
@@ -272,16 +241,7 @@ def verify_trig_identity(j: int, theta: float) -> float:
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     lhs = float(fibonacci_poly(j + 1)(Fraction(math.cos(theta))))
-    rhs = math.fsum(
-        float(
-            Fraction(1) / c_norm(j - 2 * m)
-            * binomial(j - m, j - 2 * m)
-            * Fraction(2) ** (-j + 2 * m + 1)
-            * hyp2f1(-m, j - m + 1, j - 2 * m + 1, Fraction(-1, 4))
-        )
-        * math.cos((j - 2 * m) * theta)
-        for m in range(j // 2 + 1)
-    )
+    rhs = math.fsum(float(c) * math.cos(n * theta) for _, n, c in terms(j, Direction.F_IN_T))
     return abs(lhs - rhs)
 
 
@@ -357,7 +317,7 @@ def verify_derivative_corollaries(j: int, q: int) -> Report:
     note = ""
 
     if j >= 1:
-        lhs_T = _sum_T_shape(j, lambda n: fibonacci_deriv_at_1(q, n))
+        sum_T = _expansion_at(j, Direction.T_IN_F, lambda n: fibonacci_deriv_at_1(q, n))
         rhs_T = (
             Fraction((-1) ** (q + 1))
             * j
@@ -366,12 +326,12 @@ def verify_derivative_corollaries(j: int, q: int) -> Report:
             * sqrt_pi_over_gamma(q, Fraction(1, 2))
             / Fraction(2) ** q
         )
-        checks.append(Check("sum-T", lhs_T, rhs_T))
-        checks.append(Check("sum-T-vs-DqT", j * lhs_T, cheb_deriv_at_1(Basis.CHEBYSHEV_T, q, j)))
+        checks.append(Check("sum-T", sum_T / j, rhs_T))
+        checks.append(Check("sum-T-vs-DqT", sum_T, cheb_deriv_at_1(Basis.CHEBYSHEV_T, q, j)))
     else:
         note = "sum-T skipped at j = 0 (closed form divides by j - m)"
 
-    lhs_U = _sum_U_shape(j, lambda n: fibonacci_deriv_at_1(q, n))
+    sum_U = _expansion_at(j, Direction.U_IN_F, lambda n: fibonacci_deriv_at_1(q, n))
     rhs_U = (
         Fraction((-1) ** (q + 1))
         * pochhammer(j, 3)
@@ -380,10 +340,8 @@ def verify_derivative_corollaries(j: int, q: int) -> Report:
         * sqrt_pi_over_gamma(q, Fraction(3, 2))
         / Fraction(2) ** (j + q + 1)
     )
-    checks.append(Check("sum-U", lhs_U, rhs_U))
-    checks.append(
-        Check("sum-U-vs-DqU", Fraction(2) ** j * lhs_U, cheb_deriv_at_1(Basis.CHEBYSHEV_U, q, j))
-    )
+    checks.append(Check("sum-U", sum_U / 2**j, rhs_U))
+    checks.append(Check("sum-U-vs-DqU", sum_U, cheb_deriv_at_1(Basis.CHEBYSHEV_U, q, j)))
 
     oracle = fibonacci_deriv_at_1(q, j + 1)
     checks.append(Check("deriv-T", _deriv_sum_first_kind(j, q), oracle))
@@ -415,14 +373,9 @@ def verify_derivative_corollaries(j: int, q: int) -> Report:
 
 def verify_fib_2f1_representations(n: int) -> Report:
     """Both single-series representations of F_n against the recurrence."""
-    from .hypergeometric import fibonacci_as_2f1_both
-
-    minus4, arg5, expected = fibonacci_as_2f1_both(n)
+    minus4 = fibonacci_as_2f1(n, FibonacciSeriesVariant.ARG_MINUS_4)
+    arg5 = fibonacci_as_2f1(n, FibonacciSeriesVariant.ARG_5)
+    expected = Fraction(fibonacci_number(n))
     return make_report(
-        "fib-2f1",
-        {"n": n},
-        [
-            Check("arg(-4)", minus4, Fraction(expected)),
-            Check("arg(5)", arg5, Fraction(expected)),
-        ],
+        "fib-2f1", {"n": n}, [Check("arg(-4)", minus4, expected), Check("arg(5)", arg5, expected)]
     )

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .connection import oracle_expand
+from .connection import Direction, oracle_expand, terms
 from .hypergeometric import hyp2f1
 from .polynomials import Polynomial
 from .report import Check, Report, Status, make_report
@@ -120,13 +120,10 @@ def weighted_integral_by_expansion(p: Polynomial, weight: Weight) -> PiMultiple:
     """
     if p.is_zero:
         return ZERO_PI
-    if weight is Weight.FIRST_KIND:
-        terms = oracle_expand(p, Basis.CHEBYSHEV_T)
-        constant = dict(terms).get(0, Fraction(0))
-        return PiMultiple(constant)
-    terms = oracle_expand(p, Basis.CHEBYSHEV_U)
-    constant = dict(terms).get(0, Fraction(0))
-    return PiMultiple(constant / 2)
+    first = weight is Weight.FIRST_KIND
+    expansion = dict(oracle_expand(p, Basis.CHEBYSHEV_T if first else Basis.CHEBYSHEV_U))
+    constant = expansion.get(0, Fraction(0))
+    return PiMultiple(constant if first else constant / 2)
 
 
 def quadrature_nodes(weight: Weight, count: int) -> list[tuple[float, float]]:
@@ -236,18 +233,14 @@ def printed_fib_cheb_u(j: int, k: int) -> PiMultiple:
 
 
 def printed_fib_fib_second(j: int, k: int) -> PiMultiple:
-    """Published value of the second-kind integral of F_{j+1} F_{k+1} (verbatim)."""
-    return PiMultiple(
-        Fraction(1, 2 ** (k + j + 1))
-        * sum(
-            binomial(j, m)
-            * binomial(k, m)
-            * Fraction((k - 2 * m + 1) * (j - 2 * m + 1), (k - m + 1) * (j - m + 1))
-            * hyp2f1(-m, -k + m - 1, -k, -4)
-            * hyp2f1(-m, -j + m - 1, -j, -4)
-            for m in range(k // 2 + 1)
-        )
-    )
+    """Published value of the second-kind integral of F_{j+1} F_{k+1} (verbatim).
+
+    The published sum is half of sum_m c(j, m) c(k, m) over the F-in-U
+    coefficients of both factors, paired by the summation index m (which
+    pairs equal target degrees only at j = k), for m = 0 .. floor(k/2), k <= j.
+    """
+    pairs = zip(terms(k, Direction.F_IN_U), terms(j, Direction.F_IN_U))
+    return PiMultiple(sum(ck * cj for (_, _, ck), (_, _, cj) in pairs) / 2)
 
 
 def printed_fib_fib_first(

@@ -42,12 +42,6 @@ class Polynomial:
     def x(cls) -> "Polynomial":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, power: int, coefficient: RationalLike = 1) -> "Polynomial":
-        if power < 0:
-            raise ValueError(f"monomial power must be >= 0, got {power}")
-        return cls((0,) * power + (coefficient,))
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -117,9 +111,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def scale(self, scalar: RationalLike) -> "Polynomial":
-        return self * Fraction(scalar)
-
     def derivative(self, order: int = 1) -> "Polynomial":
         """The ``order``-th formal derivative; order 0 returns the polynomial."""
         if order < 0:
@@ -140,20 +131,14 @@ class Polynomial:
             acc = acc * point + c
         return acc
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def eval_float_exact(self, x: float) -> float:
         """Value at the float point ``x``, exactly computed and rounded once.
 
         A float is a dyadic rational, so the value is computed by integer
         Horner (coefficients cleared to a common denominator, powers of the
         node's 2^-s denominator as shifts) and converted to float at the end.
-        Unlike ``eval_float`` this is immune to cancellation between large
-        monomial coefficients, and it is exactly odd/even symmetric in x.
+        This is immune to cancellation between large monomial coefficients,
+        and it is exactly odd/even symmetric in x.
         """
         if not self.coeffs:
             return 0.0
@@ -192,10 +177,6 @@ class Polynomial:
             else:
                 parts.append(f"{format_rational(c)}*x^{i}")
         return " + ".join(parts)
-
-    def coeffs_as_strings(self) -> list[str]:
-        """JSON-friendly coefficient array of "p/q" strings, ascending."""
-        return [format_rational(c) for c in self.coeffs]
 
     def __str__(self):
         # Compact human form: skip zero terms, highest power first.

@@ -54,13 +54,6 @@ class Report:
     corrected_residual: object = None
     note: str = ""
 
-    @property
-    def failed(self) -> bool:
-        return self.status is Status.FAIL
-
-    def params_dict(self) -> dict[str, object]:
-        return dict(self.params)
-
     def sort_key(self) -> tuple:
         return (self.identity, tuple((k, _display(v)) for k, v in self.params))
 

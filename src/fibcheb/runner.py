@@ -21,19 +21,6 @@ DEFAULT_SAFETY_CAP = 500
 TRIG_ABS_TOL = 1e-9
 TRIG_SAMPLE_COUNT = 16
 
-SUITES = (
-    "cor51",
-    "cor52",
-    "complex",
-    "chain",
-    "laurent",
-    "trig",
-    "fib2f1",
-    "lemma",
-    "connection",
-    "integrals",
-)
-
 LAURENT_POINTS = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(7, 5))
 
 
@@ -43,7 +30,6 @@ class RunConfig:
     jmax: int = 20
     qmax: int = 5
     workers: int = 1
-    output_format: str = "text"
     safety_cap: int = DEFAULT_SAFETY_CAP
 
     def validate(self) -> None:
@@ -55,66 +41,28 @@ class RunConfig:
             raise ValueError(f"jmax {self.jmax} exceeds safety cap {self.safety_cap}")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
-        if self.output_format not in ("text", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 def default_worker_count() -> int:
+    """The worker count from FIBCHEB_WORKERS (at least 1), or 1 when it is unset."""
     env = os.environ.get("FIBCHEB_WORKERS", "")
-    if env.strip():
+    if not env.strip():
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        raise ValueError(f"FIBCHEB_WORKERS must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
-# Task construction and execution.  A task is a plain picklable tuple
-# (family, *args); execution dispatches on the family name.
+# The suite registry.  A task is a plain picklable tuple (family, *args):
+# SUITES maps each suite to its task grid over (jmax, qmax), in emission
+# order, and FAMILIES maps each task family to the verifier that runs it.
+# Entries look their verifier up when called, so a replaced module attribute
+# (a tracing wrapper, say) is honored.
 # ---------------------------------------------------------------------------
 
 Task = tuple
-
-
-def build_tasks(config: RunConfig) -> list[Task]:
-    suites = SUITES if config.suite == "all" else (config.suite,)
-    tasks: list[Task] = []
-    jmax, qmax = config.jmax, config.qmax
-    for suite in suites:
-        if suite == "cor51":
-            tasks += [("cor51-T", j) for j in range(1, jmax + 1)]
-            tasks += [("cor51-U", j) for j in range(1, jmax + 1)]
-            tasks += [("cor51-fib", j) for j in range(jmax + 1)]
-        elif suite == "cor52":
-            tasks += [
-                ("cor52", j, q) for j in range(jmax + 1) for q in range(1, qmax + 1)
-            ]
-        elif suite == "complex":
-            tasks += [("complex", n) for n in range(jmax + 1)]
-        elif suite == "chain":
-            tasks += [("chain", j) for j in range(jmax + 1)]
-        elif suite == "laurent":
-            tasks += [
-                ("laurent", j, str(x0)) for j in range(jmax + 1) for x0 in LAURENT_POINTS
-            ]
-        elif suite == "trig":
-            tasks += [("trig", j) for j in range(jmax + 1)]
-        elif suite == "fib2f1":
-            tasks += [("fib2f1", n) for n in range(1, jmax + 1)]
-        elif suite == "lemma":
-            tasks += [
-                ("lemma", j, m) for j in range(2, jmax + 1) for m in range(1, j // 2 + 1)
-            ]
-        elif suite == "connection":
-            for direction in connection.Direction:
-                lo = direction.min_index
-                tasks += [("connection", j, direction.value) for j in range(lo, jmax + 1)]
-        elif suite == "integrals":
-            for j in range(jmax + 1):
-                for k in range(j + 1):
-                    tasks.append(("int-FT", j, k))
-                    tasks.append(("int-FU", j, k))
-                    tasks.append(("int-FF1", j, k))
-                    tasks.append(("int-FF2", j, k))
-    return tasks
 
 
 def _run_trig(j: int) -> Report:
@@ -130,6 +78,11 @@ def _run_trig(j: int) -> Report:
         residual=worst,
         note=f"max |lhs-rhs| over {TRIG_SAMPLE_COUNT} angles (tolerance {TRIG_ABS_TOL})",
     )
+
+
+def _run_lemma(j: int, m: int) -> Report:
+    holds = connection.lemma_recurrence_holds(j, m)
+    return make_report("lemma", {"j": j, "m": m}, [Check("recurrence", holds, True)])
 
 
 def _run_connection(j: int, direction_value: str) -> Report:
@@ -154,40 +107,76 @@ def _run_connection(j: int, direction_value: str) -> Report:
     return make_report("connection", {"j": j, "direction": direction.value}, checks)
 
 
+# The ``integrate --kind`` choices: kind -> (task family, evaluator returning
+# the oracle value and the report).
+INTEGRALS = {
+    "ft": ("int-FT", lambda j, k: integrals.integral_fib_cheb_t(j, k)),
+    "fu": ("int-FU", lambda j, k: integrals.integral_fib_cheb_u(j, k)),
+    "ff1": ("int-FF1", lambda j, k: integrals.integral_fib_fib(j, k, integrals.Weight.FIRST_KIND)),
+    "ff2": ("int-FF2", lambda j, k: integrals.integral_fib_fib(j, k, integrals.Weight.SECOND_KIND)),
+}
+
+FAMILIES = {
+    "cor51-T": lambda j: identities.verify_cor_sum_T(j),
+    "cor51-U": lambda j: identities.verify_cor_sum_U(j),
+    "cor51-fib": lambda j: identities.verify_fib_expressions(j),
+    "cor52": lambda j, q: identities.verify_derivative_corollaries(j, q),
+    "complex": lambda n: identities.verify_complex_identities(n),
+    "chain": lambda j: identities.verify_2f1_chain(j),
+    "laurent": lambda j, x0: identities.verify_laurent_identity(j, Fraction(x0)),
+    "trig": _run_trig,
+    "fib2f1": lambda n: identities.verify_fib_2f1_representations(n),
+    "lemma": _run_lemma,
+    "connection": _run_connection,
+    **{
+        family: (lambda j, k, evaluate=evaluate: evaluate(j, k)[1])
+        for family, evaluate in INTEGRALS.values()
+    },
+}
+
+SUITES = {
+    "cor51": lambda jmax, qmax: [
+        *[("cor51-T", j) for j in range(1, jmax + 1)],
+        *[("cor51-U", j) for j in range(1, jmax + 1)],
+        *[("cor51-fib", j) for j in range(jmax + 1)],
+    ],
+    "cor52": lambda jmax, qmax: [
+        ("cor52", j, q) for j in range(jmax + 1) for q in range(1, qmax + 1)
+    ],
+    "complex": lambda jmax, qmax: [("complex", n) for n in range(jmax + 1)],
+    "chain": lambda jmax, qmax: [("chain", j) for j in range(jmax + 1)],
+    "laurent": lambda jmax, qmax: [
+        ("laurent", j, str(x0)) for j in range(jmax + 1) for x0 in LAURENT_POINTS
+    ],
+    "trig": lambda jmax, qmax: [("trig", j) for j in range(jmax + 1)],
+    "fib2f1": lambda jmax, qmax: [("fib2f1", n) for n in range(1, jmax + 1)],
+    "lemma": lambda jmax, qmax: [
+        ("lemma", j, m) for j in range(2, jmax + 1) for m in range(1, j // 2 + 1)
+    ],
+    "connection": lambda jmax, qmax: [
+        ("connection", j, direction.value)
+        for direction in connection.Direction
+        for j in range(direction.min_index, jmax + 1)
+    ],
+    "integrals": lambda jmax, qmax: [
+        (family, j, k)
+        for j in range(jmax + 1)
+        for k in range(j + 1)
+        for family, _ in INTEGRALS.values()
+    ],
+}
+
+
+def build_tasks(config: RunConfig) -> list[Task]:
+    suites = SUITES if config.suite == "all" else (config.suite,)
+    return [task for suite in suites for task in SUITES[suite](config.jmax, config.qmax)]
+
+
 def execute_task(task: Task) -> Report:
     family, *args = task
-    if family == "cor51-T":
-        return identities.verify_cor_sum_T(args[0])
-    if family == "cor51-U":
-        return identities.verify_cor_sum_U(args[0])
-    if family == "cor51-fib":
-        return identities.verify_fib_expressions(args[0])
-    if family == "cor52":
-        return identities.verify_derivative_corollaries(args[0], args[1])
-    if family == "complex":
-        return identities.verify_complex_identities(args[0])
-    if family == "chain":
-        return identities.verify_2f1_chain(args[0])
-    if family == "laurent":
-        return identities.verify_laurent_identity(args[0], Fraction(args[1]))
-    if family == "trig":
-        return _run_trig(args[0])
-    if family == "fib2f1":
-        return identities.verify_fib_2f1_representations(args[0])
-    if family == "lemma":
-        holds = connection.lemma_recurrence_holds(args[0], args[1])
-        return make_report("lemma", {"j": args[0], "m": args[1]}, [Check("recurrence", holds, True)])
-    if family == "connection":
-        return _run_connection(args[0], args[1])
-    if family == "int-FT":
-        return integrals.integral_fib_cheb_t(args[0], args[1])[1]
-    if family == "int-FU":
-        return integrals.integral_fib_cheb_u(args[0], args[1])[1]
-    if family == "int-FF1":
-        return integrals.integral_fib_fib(args[0], args[1], integrals.Weight.FIRST_KIND)[1]
-    if family == "int-FF2":
-        return integrals.integral_fib_fib(args[0], args[1], integrals.Weight.SECOND_KIND)[1]
-    raise ValueError(f"unknown task family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown task family {family!r}")
+    return FAMILIES[family](*args)
 
 
 def run_sweep(config: RunConfig) -> list[Report]:

@@ -13,7 +13,6 @@ import math
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 HALF = Fraction(1, 2)
@@ -114,10 +113,6 @@ class GaussianRational:
         if isinstance(value, (int, Fraction)):
             return GaussianRational(value, 0)
         return None
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)

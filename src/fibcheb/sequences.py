@@ -29,19 +29,38 @@ def c_norm(n: int) -> Fraction:
     return Fraction(2) if n == 0 else Fraction(1)
 
 
+_ZERO = Polynomial.zero()
+_ONE = Polynomial.one()
+_X = Polynomial.x()
+_TWO_X = Polynomial((0, 2))
+
+_RECURSION_STRIDE = 64
+
+
+def _three_term(family, n: int, initial: tuple[Polynomial, Polynomial], step) -> Polynomial:
+    """Member n of a family with members 0 and 1 ``initial`` and P_n = step(P_{n-1}, P_{n-2}).
+
+    ``family`` is the cached constructor itself.  The members at multiples
+    of _RECURSION_STRIDE below n are built first, in ascending order, so a
+    cold build of any index recurses at most _RECURSION_STRIDE levels; every
+    new index still costs one ``step``.
+    """
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    if n < 2:
+        return initial[n]
+    for lower in range(_RECURSION_STRIDE, n - 1, _RECURSION_STRIDE):
+        family(lower)
+    return step(family(n - 1), family(n - 2))
+
+
 @lru_cache(maxsize=None)
 def fibonacci_poly(n: int) -> Polynomial:
     """F_n by the recurrence F_{n+2} = x F_{n+1} + F_n, F_0 = 0, F_1 = 1.
 
     Degree n-1 and monic for n >= 1; F_0 is the zero polynomial.
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    if n == 0:
-        return Polynomial.zero()
-    if n == 1:
-        return Polynomial.one()
-    return Polynomial.x() * fibonacci_poly(n - 1) + fibonacci_poly(n - 2)
+    return _three_term(fibonacci_poly, n, (_ZERO, _ONE), lambda p1, p2: _X * p1 + p2)
 
 
 def fibonacci_poly_power_form(n: int) -> Polynomial:
@@ -60,25 +79,13 @@ def fibonacci_poly_power_form(n: int) -> Polynomial:
 @lru_cache(maxsize=None)
 def chebyshev_t(n: int) -> Polynomial:
     """First-kind Chebyshev polynomial via T_n = 2x T_{n-1} - T_{n-2}."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    if n == 0:
-        return Polynomial.one()
-    if n == 1:
-        return Polynomial.x()
-    return Polynomial((0, 2)) * chebyshev_t(n - 1) - chebyshev_t(n - 2)
+    return _three_term(chebyshev_t, n, (_ONE, _X), lambda p1, p2: _TWO_X * p1 - p2)
 
 
 @lru_cache(maxsize=None)
 def chebyshev_u(n: int) -> Polynomial:
     """Second-kind Chebyshev polynomial via U_n = 2x U_{n-1} - U_{n-2}."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    if n == 0:
-        return Polynomial.one()
-    if n == 1:
-        return Polynomial((0, 2))
-    return Polynomial((0, 2)) * chebyshev_u(n - 1) - chebyshev_u(n - 2)
+    return _three_term(chebyshev_u, n, (_ONE, _TWO_X), lambda p1, p2: _TWO_X * p1 - p2)
 
 
 def chebyshev_t_power_form(n: int) -> Polynomial:

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from fibcheb import runner
 from fibcheb.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -142,3 +147,15 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemma", "--jmax", "6")
         assert code == 0
         assert "result: OK" in out
+
+    def test_malformed_worker_env_is_a_config_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("FIBCHEB_WORKERS", "abc")
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemma", "--jmax", "3")
+        assert code == 2
+        assert out == ""
+        assert "FIBCHEB_WORKERS" in err
+
+
+def test_readme_suite_list_matches_registry():
+    paragraph = re.search(r"^Suites: (.*?or `all`)", README.read_text(), re.M | re.S).group(1)
+    assert re.findall(r"`([^`]+)`", paragraph) == [*runner.SUITES, "all"]

@@ -14,6 +14,7 @@ from fibcheb import (
     lemma_recurrence_holds,
     oracle_expand,
 )
+from fibcheb.connection import terms
 
 
 def coefficients(j, direction):
@@ -44,6 +45,11 @@ class TestExpansions:
             expand(0, Direction.T_IN_F)
         with pytest.raises(ValueError):
             expand(0, Direction.U_IN_F)
+
+    def test_terms_are_unguarded_at_zero(self):
+        # U_0 = 1 = F_1: the corollaries evaluated at n = 0 need this term,
+        # although expand() keeps the stated range j >= 1.
+        assert list(terms(0, Direction.U_IN_F)) == [(0, 1, 1)]
 
     def test_fibonacci_sources_allow_zero(self):
         assert expand(0, Direction.F_IN_T).reconstruct() == Polynomial((1,))

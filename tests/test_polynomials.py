@@ -94,10 +94,6 @@ class TestSerialization:
         p = Polynomial((0, 2, 0, 1))
         assert p.to_text() == "0 + 2*x + 0*x^2 + 1*x^3"
 
-    def test_json_coefficients(self):
-        p = Polynomial((Fraction(1, 2), 0, 1))
-        assert p.coeffs_as_strings() == ["1/2", "0", "1"]
-
     def test_pretty_str(self):
         assert str(Polynomial((-1, 0, 2))) == "2*x^2 - 1"
         assert str(Polynomial()) == "0"

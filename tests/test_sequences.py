@@ -1,5 +1,6 @@
 """Polynomial families: recurrences vs power forms, special values, derivatives."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -131,3 +132,25 @@ class TestDerivativeValues:
 def test_c_norm():
     assert c_norm(0) == 2
     assert all(c_norm(n) == 1 for n in range(1, 10))
+
+
+@pytest.mark.parametrize(
+    "family, degree, at_one",
+    [
+        (fibonacci_poly, 1499, fibonacci_number(1500)),
+        (chebyshev_t, 1500, 1),
+        (chebyshev_u, 1500, 1501),
+    ],
+    ids=["fibonacci", "chebyshev-t", "chebyshev-u"],
+)
+def test_large_index_on_a_cold_cache(family, degree, at_one):
+    # A build that recursed once per index would exceed the default limit of 1000.
+    limit = sys.getrecursionlimit()
+    family.cache_clear()
+    try:
+        p = family(1500)
+        assert sys.getrecursionlimit() == limit
+        assert p.degree == degree
+        assert p(Fraction(1)) == at_one
+    finally:
+        family.cache_clear()  # about 150 MB of members
