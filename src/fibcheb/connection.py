@@ -9,6 +9,7 @@ routes must agree term by term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -154,16 +155,32 @@ def oracle_expand(p: Polynomial, basis: Basis) -> list[tuple[int, Fraction]]:
     unique expansion without solving a linear system.  Independent of the
     closed-form coefficient route.  Returns (index, coefficient) pairs from
     the top degree down to 0, zero coefficients included.
+
+    The elimination runs in place on one integer vector: the remainder is
+    rest / scale with ``rest`` integer, and whenever a leading coefficient
+    does not divide the current top entry, ``rest`` and ``scale`` are both
+    multiplied by the missing factor.
     """
+    nums, scale = p.integer_form()
+    rest = list(nums)
     out: list[tuple[int, Fraction]] = []
-    rest = p
     for degree in range(p.degree, -1, -1):
-        elem = basis_element_of_degree(basis, degree)
-        coeff = rest.coefficient(degree) / elem.leading_coefficient
-        out.append((index_for_degree(basis, degree), coeff))
-        if coeff != 0:
-            rest = rest - elem * coeff
-    if not rest.is_zero:
+        elem, elem_den = basis_element_of_degree(basis, degree).integer_form()
+        lead = elem[-1]
+        top = rest[degree]
+        missing = abs(lead) // math.gcd(top, lead)
+        if missing != 1:
+            rest = [r * missing for r in rest]
+            scale *= missing
+            top *= missing
+        factor = top // lead
+        # the coefficient times elem / elem_den is factor * elem / scale
+        out.append((index_for_degree(basis, degree), Fraction(factor * elem_den, scale)))
+        if factor:
+            for i, e in enumerate(elem):
+                if e:
+                    rest[i] -= factor * e
+    if any(rest):
         raise AssertionError("triangular elimination left a nonzero remainder")
     return out
 

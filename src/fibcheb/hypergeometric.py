@@ -5,6 +5,11 @@ nonpositive integer, in which case the sum is finite and exactly computable.
 When both upper parameters are nonpositive integers the series truncates at
 the smaller of the two indices (the standard convention, and the one every
 connection coefficient here relies on).
+
+A series value is computed on the integer lattice: the term ratio
+(a+k)(b+k)z / ((c+k)(k+1)) is cleared to one integer numerator and one
+integer denominator per step, the sum is accumulated by backward Horner over
+those integers, and the result is reduced to lowest terms once, at the end.
 """
 
 from __future__ import annotations
@@ -64,22 +69,31 @@ def eval_2f1(series: Hyp2F1) -> Fraction:
     Raises NonTerminatingError for series without a nonpositive-integer upper
     parameter, and ZeroDenominatorError if (c)_k vanishes at or before the
     termination index (which signals a misuse, never a term to skip).
+
+    With t_{k+1} = t_k p_k / q_k, the sum is 1 + p_0/q_0 (1 + p_1/q_1 (1 + ...)),
+    evaluated from the inside out as num/den with num <- q_k den + p_k num and
+    den <- q_k den, so no intermediate value is reduced.
     """
     K = series.termination_index()
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(K + 1):
-        total += term
-        if k == K:
-            break
-        ck = series.c + k
-        if ck == 0:
-            raise ZeroDenominatorError(
-                f"2F1({series.a}, {series.b}; {series.c}; {series.z}): "
-                f"lower parameter vanishes at term {k + 1} of {K}"
-            )
-        term = term * (series.a + k) * (series.b + k) * series.z / (ck * (k + 1))
-    return total
+    a, b, c, z = series.a, series.b, series.c, series.z
+    vanishing = _as_nonpositive_int(c)
+    if vanishing is not None and vanishing < K:
+        raise ZeroDenominatorError(
+            f"2F1({a}, {b}; {c}; {z}): "
+            f"lower parameter vanishes at term {vanishing + 1} of {K}"
+        )
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    cn, cd = c.numerator, c.denominator
+    # p_k = (an + k ad)(bn + k bd) zn cd and q_k = (cn + k cd)(k + 1) ad bd zd
+    p_const = z.numerator * cd
+    q_const = ad * bd * z.denominator
+    num = den = 1
+    for k in range(K - 1, -1, -1):
+        q = (cn + k * cd) * (k + 1) * q_const
+        num = q * den + (an + k * ad) * (bn + k * bd) * p_const * num
+        den *= q
+    return Fraction(num, den)
 
 
 def hyp2f1(a: RationalLike, b: RationalLike, c: RationalLike, z: RationalLike) -> Fraction:

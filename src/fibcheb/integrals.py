@@ -191,14 +191,26 @@ def quadrature_deviation(p: Polynomial, weight: Weight, exact: PiMultiple | None
     absolute error in double precision, because the cos-node placement is
     itself only half-ulp accurate; relative to the summed mass the rule is
     accurate to near machine precision, and that is what this measures.
+
+    The node values and the integral are exact ratios of integers until they
+    are rounded.  Before rounding they are all scaled by one power of two
+    2^-e, the least that keeps the mass inside the float range; e is 0 for
+    every integrand whose values are floats, and a larger e leaves the ratio
+    unchanged, because the mass then exceeds 1.
     """
     if exact is None:
         exact = weighted_integral(p, weight)
-    nodes = max((p.degree + 2) // 2, 1)
-    values = [(w, p.eval_float_exact(x)) for x, w in quadrature_nodes(weight, nodes)]
+    nodes = quadrature_nodes(weight, max((p.degree + 2) // 2, 1))
+    ratios = [p.eval_dyadic(x) for x, _ in nodes]
+    integral = exact.coefficient.as_integer_ratio()
+    # |n/d| < 2^(bits(n) - bits(d) + 1); w < 4 and the sums add bits(len) more.
+    top = max(n.bit_length() - d.bit_length() for n, d in ratios + [integral])
+    e = max(0, top + len(nodes).bit_length() + 4 - 1024)
+    values = [(w, n / (d << e)) for (_, w), (n, d) in zip(nodes, ratios)]
     approx = math.fsum(w * v for w, v in values)
     mass = math.fsum(abs(w * v) for w, v in values)
-    return abs(approx - float(exact)) / max(1.0, mass)
+    target = integral[0] / (integral[1] << e) * math.pi
+    return abs(approx - target) / max(1.0, mass)
 
 
 def _quadrature_agrees(p: Polynomial, weight: Weight, exact: PiMultiple) -> tuple[bool, float]:

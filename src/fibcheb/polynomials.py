@@ -3,13 +3,19 @@
 Coefficients are stored in an ascending tuple (index i holds the coefficient
 of x^i) with trailing zeros stripped, so equality is plain coefficient-wise
 equality and the zero polynomial is the empty tuple with degree -1.
+
+Arithmetic runs on the integer lattice of each polynomial: its coefficients
+cleared to one common denominator, computed once per polynomial and kept
+beside the coefficients.  Sums, products, derivatives and evaluations work on
+the integer numerators alone, and each result coefficient or value is reduced to
+lowest terms once, at the end.  The family polynomials all have denominator 1.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .scalars import GaussianRational, RationalLike, format_rational
 
@@ -17,18 +23,39 @@ from .scalars import GaussianRational, RationalLike, format_rational
 class Polynomial:
     """Immutable dense polynomial over the exact rationals."""
 
-    __slots__ = ("coeffs",)
+    # _lattice: the integer_form() pair, filled on first use and never pickled.
+    __slots__ = ("coeffs", "_lattice")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_lattice", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _from_lattice(cls, nums: list[int], den: int) -> "Polynomial":
+        """The polynomial with coefficients nums[i] / den (den > 0), one reduction each."""
+        while nums and nums[-1] == 0:
+            nums.pop()
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [n // g for n in nums]
+        self = cls.__new__(cls)
+        if den == 1:
+            coeffs = tuple(Fraction(n) for n in nums)
+        else:
+            coeffs = tuple(Fraction(n, den) for n in nums)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_lattice", (tuple(nums), den))
+        return self
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -41,6 +68,15 @@ class Polynomial:
     @classmethod
     def x(cls) -> "Polynomial":
         return cls((0, 1))
+
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den): coefficient i is nums[i] / den, den the least common denominator."""
+        lattice = self._lattice
+        if lattice is None:
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            lattice = (tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den)
+            object.__setattr__(self, "_lattice", lattice)
+        return lattice
 
     # -- structure -----------------------------------------------------------
 
@@ -71,10 +107,7 @@ class Polynomial:
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            (self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -83,31 +116,47 @@ class Polynomial:
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            (self.coefficient(i) - other.coefficient(i) for i in range(n))
-        )
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial((-c for c in self.coeffs))
+        nums, den = self.integer_form()
+        return Polynomial._from_lattice([-n for n in nums], den)
+
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, over the least common denominator of the two."""
+        na, da = self.integer_form()
+        nb, db = other.integer_form()
+        den = math.lcm(da, db)
+        out = [n * (den // da) for n in na]
+        out.extend([0] * (len(nb) - len(out)))
+        scale = sign * (den // db)
+        for i, n in enumerate(nb):
+            out[i] += scale * n
+        return Polynomial._from_lattice(out, den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial((c * other for c in self.coeffs))
+            other = Fraction(other)
+            nums, den = self.integer_form()
+            return Polynomial._from_lattice(
+                [n * other.numerator for n in nums], den * other.denominator
+            )
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for k, b in enumerate(other.coeffs):
-                out[i + k] += a * b
-        return Polynomial(out)
+        na, da = self.integer_form()
+        nb, db = other.integer_form()
+        out = [0] * (len(na) + len(nb) - 1)
+        for i, a in enumerate(na):
+            if a:
+                for k, b in enumerate(nb, i):
+                    if b:
+                        out[k] += a * b
+        return Polynomial._from_lattice(out, da * db)
 
     __rmul__ = __mul__
 
@@ -115,42 +164,61 @@ class Polynomial:
         """The ``order``-th formal derivative; order 0 returns the polynomial."""
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order}")
-        cs: Sequence[Fraction] = self.coeffs
+        if order == 0:
+            return self
+        nums, den = self.integer_form()
+        out = list(nums)
         for _ in range(order):
-            cs = tuple(Fraction(i) * c for i, c in enumerate(cs))[1:]
-            if not cs:
-                break
-        return Polynomial(cs)
+            out = [i * n for i, n in enumerate(out)][1:]
+        return Polynomial._from_lattice(out, den)
 
     def __call__(self, point):
         """Horner evaluation; exact for rational or Gaussian rational points."""
-        if isinstance(point, int):
-            point = Fraction(point)
-        acc = GaussianRational(0) if isinstance(point, GaussianRational) else Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        if isinstance(point, GaussianRational):
+            acc = GaussianRational(0)
+            for c in reversed(self.coeffs):
+                acc = acc * point + c
+            return acc
+        point = Fraction(point)
+        nums, den = self.integer_form()
+        if not nums:
+            return Fraction(0)
+        p, q = point.numerator, point.denominator
+        # sum nums[i] p^i q^(degree - i), over den q^degree
+        acc, q_power = 0, 1
+        for n in reversed(nums):
+            acc = acc * p + n * q_power
+            q_power *= q
+        return Fraction(acc, den * (q_power // q))
+
+    def eval_dyadic(self, x: float) -> tuple[int, int]:
+        """The exact value at the float point ``x`` as an unreduced ratio (num, den).
+
+        A float is a dyadic rational p / 2^s, so the value is the integer
+        Horner sum of nums[i] p^i 2^(s(degree - i)) over den 2^(s degree),
+        with den the common denominator of the coefficients.
+        """
+        nums, den = self.integer_form()
+        if not nums:
+            return 0, 1
+        p, q = x.as_integer_ratio()
+        s = q.bit_length() - 1  # float denominators are powers of 2
+        degree = len(nums) - 1
+        acc = 0
+        for i in range(degree, -1, -1):
+            acc = acc * p + (nums[i] << (s * (degree - i)))
+        return acc, den << (s * degree)
 
     def eval_float_exact(self, x: float) -> float:
         """Value at the float point ``x``, exactly computed and rounded once.
 
-        A float is a dyadic rational, so the value is computed by integer
-        Horner (coefficients cleared to a common denominator, powers of the
-        node's 2^-s denominator as shifts) and converted to float at the end.
-        This is immune to cancellation between large monomial coefficients,
-        and it is exactly odd/even symmetric in x.
+        The exact value comes from ``eval_dyadic``; one correctly rounded
+        integer division turns it into a float.  This is immune to
+        cancellation between large monomial coefficients, and it is exactly
+        odd/even symmetric in x.
         """
-        if not self.coeffs:
-            return 0.0
-        fx = Fraction(x)
-        num = fx.numerator
-        s = fx.denominator.bit_length() - 1  # float denominators are powers of 2
-        denom = math.lcm(*(c.denominator for c in self.coeffs))
-        degree = self.degree
-        acc = 0
-        for i in range(degree, -1, -1):
-            acc = acc * num + (int(self.coeffs[i] * denom) << (s * (degree - i)))
-        return float(Fraction(acc, denom << (s * degree)))
+        num, den = self.eval_dyadic(x)
+        return num / den
 
     # -- comparison / display --------------------------------------------------
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fibcheb import (
     Basis,
@@ -15,6 +17,26 @@ from fibcheb import (
     oracle_expand,
 )
 from fibcheb.connection import terms
+from fibcheb.sequences import basis_element_of_degree, index_for_degree
+
+
+def rebuild_elimination(p, basis):
+    """Reference: leading-term elimination that builds a new remainder polynomial per step."""
+    out = []
+    rest = p
+    for degree in range(p.degree, -1, -1):
+        elem = basis_element_of_degree(basis, degree)
+        coeff = rest.coefficient(degree) / elem.leading_coefficient
+        out.append((index_for_degree(basis, degree), coeff))
+        if coeff != 0:
+            rest = rest - elem * coeff
+    assert rest.is_zero
+    return out
+
+
+rational_polys = st.lists(
+    st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=15), max_size=14
+).map(Polynomial)
 
 
 def coefficients(j, direction):
@@ -75,10 +97,22 @@ class TestOracleExpand:
             total = Polynomial.zero()
             for index, c in oracle_expand(p, basis):
                 degree = index - 1 if basis is Basis.FIBONACCI else index
-                from fibcheb.sequences import basis_element_of_degree
-
                 total = total + basis_element_of_degree(basis, degree) * c
             assert total == p
+
+    @given(rational_polys, st.sampled_from(list(Basis)))
+    def test_matches_rebuild_per_step_elimination(self, p, basis):
+        assert oracle_expand(p, basis) == rebuild_elimination(p, basis)
+
+    def test_raises_on_a_nonzero_remainder(self, monkeypatch):
+        # a family whose degree-d slot holds the degree-(d-1) member is not
+        # triangular: the top coefficient of each step is never removed
+        def shifted(basis, degree):
+            return basis_element_of_degree(basis, max(degree - 1, 0))
+
+        monkeypatch.setattr("fibcheb.connection.basis_element_of_degree", shifted)
+        with pytest.raises(AssertionError, match="nonzero remainder"):
+            oracle_expand(Polynomial((1, 0, 1)), Basis.CHEBYSHEV_T)
 
 
 class TestTheoremsAgainstOracle:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibcheb import (
@@ -16,6 +16,28 @@ from fibcheb import (
     fibonacci_number,
     hyp2f1,
     pfaff_transform,
+)
+
+
+def forward_2f1(series: Hyp2F1) -> Fraction:
+    """Reference: the series summed term by term in reduced Fractions, first term first."""
+    K = series.termination_index()
+    total, term = Fraction(0), Fraction(1)
+    for k in range(K + 1):
+        total += term
+        if k == K:
+            break
+        ck = series.c + k
+        if ck == 0:
+            raise ZeroDenominatorError(f"lower parameter vanishes at term {k + 1} of {K}")
+        term = term * (series.a + k) * (series.b + k) * series.z / (ck * (k + 1))
+    return total
+
+
+half_integers = st.integers(min_value=-31, max_value=31).map(lambda n: Fraction(n, 2))
+rationals = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7)
+paper_arguments = st.sampled_from(
+    [Fraction(-4), Fraction(-1, 4), Fraction(1, 5), Fraction(4, 5), Fraction(5)]
 )
 
 
@@ -55,6 +77,37 @@ class TestEval2F1:
     )
     def test_symmetric_in_upper_parameters(self, a, b, c, z):
         assert hyp2f1(a, b, c, z) == hyp2f1(b, a, c, z)
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=-16, max_value=0),
+        st.one_of(st.integers(min_value=-20, max_value=20), half_integers, rationals),
+        st.one_of(st.integers(min_value=-20, max_value=20), half_integers, rationals),
+        st.one_of(paper_arguments, rationals),
+        st.booleans(),
+    )
+    def test_matches_forward_fraction_sum(self, a, b, c, z, swap):
+        series = Hyp2F1(b, a, c, z) if swap else Hyp2F1(a, b, c, z)
+        try:
+            expected = forward_2f1(series)
+        except ZeroDenominatorError as reference:
+            with pytest.raises(ZeroDenominatorError) as raised:
+                eval_2f1(series)
+            assert str(raised.value).endswith(str(reference))
+        else:
+            assert eval_2f1(series) == expected
+
+    def test_zero_denominator_reports_the_reference_term(self):
+        # K = 8: c = 0 .. -7 vanishes at term 1 - c, c = -8 only after the last term
+        for c in range(-7, 1):
+            series = Hyp2F1(-8, Fraction(3, 2), c, Fraction(-1, 4))
+            message = f"lower parameter vanishes at term {1 - c} of 8$"
+            with pytest.raises(ZeroDenominatorError, match=message):
+                eval_2f1(series)
+            with pytest.raises(ZeroDenominatorError, match=message):
+                forward_2f1(series)
+        series = Hyp2F1(-8, Fraction(3, 2), -8, Fraction(-1, 4))
+        assert eval_2f1(series) == forward_2f1(series)
 
 
 class TestFibonacciRepresentations:

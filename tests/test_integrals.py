@@ -22,6 +22,7 @@ from fibcheb import (
     weighted_integral,
     weighted_integral_by_expansion,
 )
+from fibcheb.integrals import QUADRATURE_REL_TOL
 
 
 class TestPiMultiple:
@@ -114,6 +115,15 @@ class TestQuadrature:
             assert quadrature_deviation(p, Weight.FIRST_KIND) <= 1e-9
             q = fibonacci_poly(j + 1) * chebyshev_u(k)
             assert quadrature_deviation(q, Weight.SECOND_KIND) <= 1e-9
+
+    def test_deviation_past_the_float_range(self):
+        # values near 2^1100 overflow a float; the common 2^-e scaling keeps
+        # the ratio, exactly, since the unscaled mass is already above 1
+        p = fibonacci_poly(21) * chebyshev_t(10)
+        for weight in Weight:
+            rel = quadrature_deviation(p * 2**1100, weight)
+            assert math.isfinite(rel) and rel <= QUADRATURE_REL_TOL
+            assert rel == quadrature_deviation(p, weight)
 
 
 class TestFibonacciChebyshevFirstKind:

@@ -1,5 +1,7 @@
 """Dense exact polynomial arithmetic."""
 
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,84 @@ from fibcheb import GaussianRational, Polynomial
 coeff = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4)
 polys = st.lists(coeff, max_size=7).map(Polynomial)
 points = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6)
+
+# At least one coefficient is not an integer, so the common denominator is not 1.
+fractional = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12)
+fractional_polys = (
+    st.lists(fractional, min_size=1, max_size=9)
+    .filter(lambda cs: any(c.denominator != 1 for c in cs))
+    .map(Polynomial)
+)
+float_points = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+
+
+def naive_mul(p, q):
+    """Reference: Fraction convolution of the coefficient tuples."""
+    out = [Fraction(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, a in enumerate(p.coeffs):
+        for k, b in enumerate(q.coeffs):
+            out[i + k] += a * b
+    return out
+
+
+def naive_derivative(p, order):
+    cs = list(p.coeffs)
+    for _ in range(order):
+        cs = [i * c for i, c in enumerate(cs)][1:]
+    return cs
+
+
+def naive_value(p, x):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+class TestIntegerLatticeAgainstFractions:
+    @given(fractional_polys, st.one_of(fractional_polys, polys))
+    def test_product(self, p, q):
+        assert (p * q).coeffs == Polynomial(naive_mul(p, q)).coeffs
+
+    @given(fractional_polys, st.one_of(fractional_polys, polys))
+    def test_sum_difference_and_negation(self, p, q):
+        pairs = [(p.coefficient(i), q.coefficient(i)) for i in range(max(p.degree, q.degree) + 1)]
+        assert (p + q).coeffs == Polynomial([a + b for a, b in pairs]).coeffs
+        assert (p - q).coeffs == Polynomial([a - b for a, b in pairs]).coeffs
+        assert (-p).coeffs == Polynomial([-c for c in p.coeffs]).coeffs
+
+    @given(fractional_polys, fractional)
+    def test_scalar_product(self, p, s):
+        assert (p * s).coeffs == Polynomial([c * s for c in p.coeffs]).coeffs
+        assert (s * p).coeffs == (p * s).coeffs
+
+    @given(fractional_polys, st.integers(min_value=0, max_value=10))
+    def test_derivative(self, p, order):
+        assert p.derivative(order).coeffs == Polynomial(naive_derivative(p, order)).coeffs
+
+    @given(fractional_polys, points)
+    def test_rational_evaluation(self, p, x):
+        assert p(x) == naive_value(p, x)
+
+    @given(fractional_polys, float_points)
+    def test_eval_float_exact(self, p, x):
+        exact = naive_value(p, Fraction(x))
+        assert p.eval_float_exact(x) == float(exact)
+        num, den = p.eval_dyadic(x)
+        assert Fraction(num, den) == exact
+
+    @given(fractional_polys, fractional_polys)
+    def test_integer_form_uses_the_least_common_denominator(self, p, q):
+        for poly in (p, p * q, p.derivative()):
+            nums, den = poly.integer_form()
+            assert den == math.lcm(*(c.denominator for c in poly.coeffs))
+            assert tuple(Fraction(n, den) for n in nums) == poly.coeffs
+
+    @given(fractional_polys)
+    def test_pickle_carries_only_the_coefficients(self, p):
+        p.integer_form()
+        assert pickle.dumps(p) == pickle.dumps(Polynomial(p.coeffs))
+        assert pickle.loads(pickle.dumps(p)) == p
 
 
 class TestCanonicalForm:
