@@ -185,7 +185,6 @@ def oracle_expand(p: Polynomial, basis: Basis) -> list[tuple[int, Fraction]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def d_coefficient(j: int, m: int) -> Fraction:
     """The inner series value 2F1(-m, -j+m-1; -j; -4) used by the recurrence check."""
     return hyp2f1(-m, -j + m - 1, -j, -4)

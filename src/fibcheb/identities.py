@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 from .connection import Direction, terms
 from .hypergeometric import FibonacciSeriesVariant, fibonacci_as_2f1, hyp2f1
@@ -250,49 +251,26 @@ def verify_trig_identity(j: int, theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _deriv_sum_first_kind(j: int, q: int) -> Fraction:
-    """First-kind sum for F^(q)_{j+1}: exact as printed."""
-    prefactor = Fraction((-1) ** (q + 1)) * sqrt_pi_over_gamma(q, Fraction(1, 2))
-    total = Fraction(0)
-    for m in range(j // 2 + 1):
-        n = j - 2 * m
-        total += (
-            Fraction(1) / c_norm(n)
-            * binomial(j - m, n)
-            * Fraction(2) ** (-j + 2 * m - q + 1)
-            * Fraction(n**2)
-            * pochhammer(n + 1, q - 1)
-            * pochhammer(-n + 1, q - 1)
-            * hyp2f1(-m, j - m + 1, n + 1, Fraction(-1, 4))
-        )
-    return prefactor * total
+def _t_deriv_at_1(q: int) -> Callable[[int], Fraction]:
+    """n -> T_n^(q)(1) as printed: (-1)^(q+1) sqrt(pi)/Gamma(q+1/2) 2^-q n^2 (n+1)_(q-1) (1-n)_(q-1)."""
+    prefactor = Fraction((-1) ** (q + 1)) * sqrt_pi_over_gamma(q, Fraction(1, 2)) / 2**q
+    return lambda n: prefactor * n**2 * pochhammer(n + 1, q - 1) * pochhammer(1 - n, q - 1)
 
 
-def _deriv_sum_second_kind(j: int, q: int, *, include_missing_factor: bool) -> Fraction:
-    """Second-kind sum for F^(q)_{j+1}.
+def _u_deriv_at_1(q: int, *, include_missing_factor: bool) -> Callable[[int], Fraction]:
+    """n -> U_n^(q)(1) as printed: (-1)^(q+1) sqrt(pi)/Gamma(q+3/2) 2^(-q-1) n(n+1)(n+2) (n+3)_(q-1).
 
-    The printed form lacks the rising factorial (-j+2m+1)_{q-1} that formal
-    differentiation of the parent expansion produces; with the factor
-    restored the sum matches the derivative oracle for every q.
+    The second-kind derivative formula for F^(q)_{j+1} lacks the rising
+    factorial (1-n)_(q-1) that formal differentiation of the parent expansion
+    produces; with the factor restored the value is U_n^(q)(1) for every q.
     """
-    prefactor = (
-        Fraction((-1) ** (q + 1))
-        * sqrt_pi_over_gamma(q, Fraction(3, 2))
-        / Fraction(2) ** (j + q + 1)
-    )
-    total = Fraction(0)
-    for m in range(j // 2 + 1):
-        n = j - 2 * m
-        term = (
-            binomial(j, m)
-            * Fraction(n * (n + 1) ** 2 * (n + 2), j - m + 1)
-            * pochhammer(n + 3, q - 1)
-            * hyp2f1(-m, -j + m - 1, -j, -4)
-        )
-        if include_missing_factor:
-            term *= pochhammer(-n + 1, q - 1)
-        total += term
-    return prefactor * total
+    prefactor = Fraction((-1) ** (q + 1)) * sqrt_pi_over_gamma(q, Fraction(3, 2)) / 2 ** (q + 1)
+
+    def value(n: int) -> Fraction:
+        printed = prefactor * pochhammer(n, 3) * pochhammer(n + 3, q - 1)
+        return printed * pochhammer(1 - n, q - 1) if include_missing_factor else printed
+
+    return value
 
 
 def verify_derivative_corollaries(j: int, q: int) -> Report:
@@ -316,38 +294,27 @@ def verify_derivative_corollaries(j: int, q: int) -> Report:
     checks = []
     note = ""
 
+    # The right sides of the two weighted sums are the closed forms of
+    # T_j^(q)(1) / j and U_j^(q)(1) / 2^j, the latter with (1-j)_(q-1).
     if j >= 1:
         sum_T = _expansion_at(j, Direction.T_IN_F, lambda n: fibonacci_deriv_at_1(q, n))
-        rhs_T = (
-            Fraction((-1) ** (q + 1))
-            * j
-            * pochhammer(1 - j, q - 1)
-            * pochhammer(j + 1, q - 1)
-            * sqrt_pi_over_gamma(q, Fraction(1, 2))
-            / Fraction(2) ** q
-        )
-        checks.append(Check("sum-T", sum_T / j, rhs_T))
+        checks.append(Check("sum-T", sum_T / j, _t_deriv_at_1(q)(j) / j))
         checks.append(Check("sum-T-vs-DqT", sum_T, cheb_deriv_at_1(Basis.CHEBYSHEV_T, q, j)))
     else:
         note = "sum-T skipped at j = 0 (closed form divides by j - m)"
 
     sum_U = _expansion_at(j, Direction.U_IN_F, lambda n: fibonacci_deriv_at_1(q, n))
-    rhs_U = (
-        Fraction((-1) ** (q + 1))
-        * pochhammer(j, 3)
-        * pochhammer(1 - j, q - 1)
-        * pochhammer(j + 3, q - 1)
-        * sqrt_pi_over_gamma(q, Fraction(3, 2))
-        / Fraction(2) ** (j + q + 1)
-    )
+    rhs_U = _u_deriv_at_1(q, include_missing_factor=True)(j) / 2**j
     checks.append(Check("sum-U", sum_U / 2**j, rhs_U))
     checks.append(Check("sum-U-vs-DqU", sum_U, cheb_deriv_at_1(Basis.CHEBYSHEV_U, q, j)))
 
     oracle = fibonacci_deriv_at_1(q, j + 1)
-    checks.append(Check("deriv-T", _deriv_sum_first_kind(j, q), oracle))
+    checks.append(Check("deriv-T", _expansion_at(j, Direction.F_IN_T, _t_deriv_at_1(q)), oracle))
 
-    printed_U = _deriv_sum_second_kind(j, q, include_missing_factor=False)
-    corrected_U = _deriv_sum_second_kind(j, q, include_missing_factor=True)
+    printed_U, corrected_U = (
+        _expansion_at(j, Direction.F_IN_U, _u_deriv_at_1(q, include_missing_factor=fix))
+        for fix in (False, True)
+    )
     checks.append(Check("deriv-U-corrected", corrected_U, oracle))
     if printed_U != oracle:
         extra = (

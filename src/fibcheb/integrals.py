@@ -103,12 +103,25 @@ def even_moment(n: int, weight: Weight) -> Fraction:
 
 
 def weighted_integral(p: Polynomial, weight: Weight) -> PiMultiple:
-    """Exact weighted integral of ``p`` via closed monomial moments."""
-    total = Fraction(0)
-    for i, c in enumerate(p.coeffs):
-        if c != 0 and i % 2 == 0:
-            total += c * even_moment(i // 2, weight)
-    return PiMultiple(total)
+    """Exact weighted integral of ``p`` via closed monomial moments.
+
+    Consecutive moments of ``even_moment`` differ by the ratio (2n-1)/(2n)
+    (first kind) or (2n-1)/(2n+2) (second kind), from 1 or 1/2 at n = 0, so
+    the sum over the even coefficients is one backward Horner pass over the
+    integer numerators, reduced once at the end.
+    """
+    nums, den = p.integer_form()
+    if not nums:
+        return ZERO_PI
+    first = weight is Weight.FIRST_KIND
+    top = (len(nums) - 1) // 2
+    # acc / scale = sum over i >= n of nums[2i] mu_i / mu_n, from n = top down to 0
+    acc, scale = nums[2 * top], 1
+    for n in range(top, 0, -1):
+        step = 2 * n if first else 2 * n + 2
+        acc = nums[2 * n - 2] * scale * step + (2 * n - 1) * acc
+        scale *= step
+    return PiMultiple(Fraction(acc, scale * den * (1 if first else 2)))
 
 
 def weighted_integral_by_expansion(p: Polynomial, weight: Weight) -> PiMultiple:

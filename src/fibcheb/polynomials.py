@@ -1,14 +1,15 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are stored in an ascending tuple (index i holds the coefficient
-of x^i) with trailing zeros stripped, so equality is plain coefficient-wise
-equality and the zero polynomial is the empty tuple with degree -1.
+A polynomial is stored in one form only, its integer lattice: a tuple of
+integer numerators in ascending order (index i belongs to x^i) and one
+positive common denominator.  The form is canonical: no trailing zero
+numerator, gcd(den, *nums) = 1, and the zero polynomial is ((), 1) with
+degree -1.  So equality is plain equality of the two fields, and the
+``Fraction`` coefficients are derived only when they are read.
 
-Arithmetic runs on the integer lattice of each polynomial: its coefficients
-cleared to one common denominator, computed once per polynomial and kept
-beside the coefficients.  Sums, products, derivatives and evaluations work on
-the integer numerators alone, and each result coefficient or value is reduced to
-lowest terms once, at the end.  The family polynomials all have denominator 1.
+Sums, products, derivatives and evaluations work on the integer numerators
+alone, and each result is reduced to lowest terms once, at the end.  The
+family polynomials all have denominator 1.
 """
 
 from __future__ import annotations
@@ -23,15 +24,13 @@ from .scalars import GaussianRational, RationalLike, format_rational
 class Polynomial:
     """Immutable dense polynomial over the exact rationals."""
 
-    # _lattice: the integer_form() pair, filled on first use and never pickled.
-    __slots__ = ("coeffs", "_lattice")
+    # coefficient i is _nums[i] / _den, in the canonical form above
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_lattice", None)
+        den = math.lcm(*(c.denominator for c in cs))
+        self._store([c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -40,7 +39,13 @@ class Polynomial:
 
     @classmethod
     def _from_lattice(cls, nums: list[int], den: int) -> "Polynomial":
-        """The polynomial with coefficients nums[i] / den (den > 0), one reduction each."""
+        """The polynomial with coefficients nums[i] / den (den > 0), one reduction in all."""
+        self = cls.__new__(cls)
+        self._store(nums, den)
+        return self
+
+    def _store(self, nums: list[int], den: int) -> None:
+        """Fill the slots with nums / den (den > 0) in canonical form; consumes ``nums``."""
         while nums and nums[-1] == 0:
             nums.pop()
         if den != 1:
@@ -48,14 +53,8 @@ class Polynomial:
             if g != 1:
                 den //= g
                 nums = [n // g for n in nums]
-        self = cls.__new__(cls)
-        if den == 1:
-            coeffs = tuple(Fraction(n) for n in nums)
-        else:
-            coeffs = tuple(Fraction(n, den) for n in nums)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_lattice", (tuple(nums), den))
-        return self
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -71,33 +70,31 @@ class Polynomial:
 
     def integer_form(self) -> tuple[tuple[int, ...], int]:
         """(nums, den): coefficient i is nums[i] / den, den the least common denominator."""
-        lattice = self._lattice
-        if lattice is None:
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            lattice = (tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den)
-            object.__setattr__(self, "_lattice", lattice)
-        return lattice
+        return self._nums, self._den
 
     # -- structure -----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients in ascending order, each a reduced ``Fraction``."""
+        return tuple(Fraction(n, self._den) for n in self._nums)
+
+    @property
     def degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coefficient(self.degree)
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self._nums):
+            return Fraction(self._nums[power], self._den)
         return Fraction(0)
 
     # -- ring operations -------------------------------------------------------
@@ -174,13 +171,13 @@ class Polynomial:
 
     def __call__(self, point):
         """Horner evaluation; exact for rational or Gaussian rational points."""
+        nums, den = self.integer_form()
         if isinstance(point, GaussianRational):
             acc = GaussianRational(0)
-            for c in reversed(self.coeffs):
-                acc = acc * point + c
-            return acc
+            for n in reversed(nums):
+                acc = acc * point + n
+            return acc if den == 1 else acc / den
         point = Fraction(point)
-        nums, den = self.integer_form()
         if not nums:
             return Fraction(0)
         p, q = point.numerator, point.denominator
@@ -227,14 +224,14 @@ class Polynomial:
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._nums == other._nums and self._den == other._den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     def to_text(self) -> str:
         """Full ascending form "c0 + c1*x + c2*x^2 + ...", zero terms included."""
-        if not self.coeffs:
+        if self.is_zero:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -248,11 +245,10 @@ class Polynomial:
 
     def __str__(self):
         # Compact human form: skip zero terms, highest power first.
-        if not self.coeffs:
+        if self.is_zero:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             sign = "-" if c < 0 else ("+" if parts else "")
@@ -269,4 +265,4 @@ class Polynomial:
         return f"Polynomial('{self}')"
 
     def __reduce__(self):
-        return (Polynomial, (self.coeffs,))
+        return (Polynomial._from_lattice, (list(self._nums), self._den))

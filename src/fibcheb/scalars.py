@@ -37,10 +37,9 @@ def pochhammer(a: RationalLike, k: int) -> Fraction:
     if k < 0:
         raise ValueError(f"pochhammer requires k >= 0, got k={k}")
     a = Fraction(a)
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
+    # (p/q)_k = prod (p + i q) / q^k, over integers and reduced once
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod(p + i * q for i in range(k)), q**k)
 
 
 def double_factorial(n: int) -> int:

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fibcheb import (
     PiMultiple,
@@ -23,6 +25,18 @@ from fibcheb import (
     weighted_integral_by_expansion,
 )
 from fibcheb.integrals import QUADRATURE_REL_TOL
+
+rational_polys = st.lists(
+    st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12), max_size=25
+).map(Polynomial)
+
+
+def moment_sum(p, weight):
+    """Reference: sum of c_i * even_moment(i/2) over the even powers i of p."""
+    return sum(
+        (c * even_moment(i // 2, weight) for i, c in enumerate(p.coeffs) if i % 2 == 0),
+        Fraction(0),
+    )
 
 
 class TestPiMultiple:
@@ -51,6 +65,10 @@ class TestMomentOracle:
         for weight in Weight:
             assert weighted_integral(p, weight) == 0
             assert weighted_integral_by_expansion(p, weight) == 0
+
+    @given(rational_polys, st.sampled_from(list(Weight)))
+    def test_matches_the_closed_form_moments(self, p, weight):
+        assert weighted_integral(p, weight) == PiMultiple(moment_sum(p, weight))
 
     def test_moment_values(self):
         assert even_moment(0, Weight.FIRST_KIND) == 1

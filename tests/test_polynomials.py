@@ -88,12 +88,62 @@ class TestIntegerLatticeAgainstFractions:
 
     @given(fractional_polys)
     def test_pickle_carries_only_the_coefficients(self, p):
-        p.integer_form()
         assert pickle.dumps(p) == pickle.dumps(Polynomial(p.coeffs))
         assert pickle.loads(pickle.dumps(p)) == p
 
 
+def assert_canonical(p):
+    nums, den = p.integer_form()
+    assert den > 0 and math.gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0
+
+
+# The zero polynomial, an integer one, and one with coefficients 1/6 and -3/4.
+CANONICAL_SAMPLES = [(), (3, 0, -1, 2), (Fraction(1, 6), Fraction(-3, 4), 0, 2)]
+
+
 class TestCanonicalForm:
+    @pytest.mark.parametrize("cs", CANONICAL_SAMPLES)
+    def test_equal_and_hash_equal_however_built(self, cs):
+        p = Polynomial(cs)
+        assert_canonical(p)
+        q = Polynomial((Fraction(5, 9), 0, Fraction(-1, 2)))
+        variants = [
+            Polynomial([Fraction(c) if i % 2 else c for i, c in enumerate(cs)]),
+            Polynomial([Fraction(c) for c in cs] + [0, Fraction(0)]),
+            p + q - q,
+            p * 1,
+            p * Polynomial.one(),
+            p * Fraction(4, 3) * Fraction(3, 4),
+            pickle.loads(pickle.dumps(p)),
+        ]
+        for r in variants:
+            assert_canonical(r)
+            assert r == p
+            assert hash(r) == hash(p)
+            assert r.integer_form() == p.integer_form()
+
+    @pytest.mark.parametrize("cs", CANONICAL_SAMPLES)
+    def test_coeffs_are_reduced_fractions(self, cs):
+        coeffs = Polynomial(cs).coeffs
+        assert coeffs == tuple(Fraction(c) for c in cs)
+        for c in coeffs:
+            assert type(c) is Fraction
+            assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+    def test_zero_is_the_empty_lattice(self):
+        assert Polynomial().integer_form() == ((), 1)
+        p = Polynomial((Fraction(1, 6), Fraction(-3, 4)))
+        assert (p - p).integer_form() == ((), 1)
+        assert (p * 0).integer_form() == ((), 1)
+
+    @given(fractional_polys, st.one_of(fractional_polys, polys))
+    def test_results_are_canonical(self, p, q):
+        for r in (p + q, p - q, p * q, p.derivative(), -p, p * Fraction(6, 7)):
+            assert_canonical(r)
+            assert Polynomial(r.coeffs) == r
+            assert hash(Polynomial(r.coeffs)) == hash(r)
+
     def test_trailing_zeros_stripped(self):
         assert Polynomial((1, 2, 0, 0)).coeffs == (1, 2)
         assert Polynomial((0, 0)).coeffs == ()
