@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .hypergeometric import hyp2f1
 from .polynomials import Polynomial
@@ -56,8 +57,7 @@ class Direction(Enum):
         return fibonacci_poly(j + 1)
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
+class ExpansionTerm(NamedTuple):
     m: int
     target_index: int
     coefficient: Fraction
@@ -87,9 +87,6 @@ class Expansion:
             degree = t.target_index - 1 if basis is Basis.FIBONACCI else t.target_index
             total = total + basis_element_of_degree(basis, degree) * t.coefficient
         return total
-
-    def source_polynomial(self) -> Polynomial:
-        return self.direction.source_polynomial(self.j)
 
 
 def _coefficient(j: int, m: int, direction: Direction) -> Fraction:
@@ -125,26 +122,29 @@ def _coefficient(j: int, m: int, direction: Direction) -> Fraction:
     )
 
 
-def terms(j: int, direction: Direction):
-    """Yield (m, target index, coefficient) of the degree-j expansion, m = 0 .. floor(j/2).
+@lru_cache(maxsize=None)
+def terms(j: int, direction: Direction) -> tuple[ExpansionTerm, ...]:
+    """The terms (m, target index, coefficient) of the degree-j expansion, m = 0 .. floor(j/2).
 
     The coefficient is evaluated verbatim from the closed-form sum for the
     chosen direction; the target index is j-2m+1 for Fibonacci targets and
-    j-2m for Chebyshev targets.  Unlike ``expand`` this neither caches nor
-    checks j against ``direction.min_index``: the corollaries evaluate the
-    same sums at supplied basis values, and some of them need j = 0.
+    j-2m for Chebyshev targets.  This cached tuple is the one record of each
+    expansion; ``expand`` wraps it, and the corollaries evaluate the same sums
+    at supplied basis values, some at j = 0, below ``direction.min_index``.
     """
     shift = 1 if direction.target_basis is Basis.FIBONACCI else 0
-    for m in range(j // 2 + 1):
-        yield m, j - 2 * m + shift, _coefficient(j, m, direction)
+    return tuple(
+        ExpansionTerm(m, j - 2 * m + shift, _coefficient(j, m, direction))
+        for m in range(j // 2 + 1)
+    )
 
 
 @lru_cache(maxsize=None)
 def expand(j: int, direction: Direction) -> Expansion:
-    """Connection coefficients of the degree-j source over the target family."""
+    """Connection coefficients of the degree-j source: ``terms`` behind the min_index guard."""
     if j < direction.min_index:
         raise ValueError(f"{direction.value} expansion requires j >= {direction.min_index}, got {j}")
-    return Expansion(j, direction, tuple(ExpansionTerm(*term) for term in terms(j, direction)))
+    return Expansion(j, direction, terms(j, direction))
 
 
 def oracle_expand(p: Polynomial, basis: Basis) -> list[tuple[int, Fraction]]:

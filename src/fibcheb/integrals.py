@@ -140,37 +140,36 @@ def weighted_integral_by_expansion(p: Polynomial, weight: Weight) -> PiMultiple:
 
 
 def quadrature_nodes(weight: Weight, count: int) -> list[tuple[float, float]]:
-    """Gauss-Chebyshev nodes and weights, built exactly symmetric about 0.
+    """The nonnegative half of the Gauss-Chebyshev rule: (x, w) pairs, x descending.
 
-    Mirrored nodes are stored as exact float negations (and the midpoint as
-    exactly 0.0), so that for odd integrands the node contributions cancel
-    bit-for-bit and the quadrature returns exactly 0.
+    Each x > 0 stands for the pair +-x, both of weight w; for odd ``count``
+    the last entry is the midpoint, exactly 0.0.  So the rule is exactly
+    symmetric (odd integrands give exactly 0), and ``Polynomial.eval_dyadic``
+    values both nodes of a pair in one pass.
     """
     if count < 1:
         raise ValueError(f"node count must be >= 1, got {count}")
-    xs = [0.0] * count
-    ws = [0.0] * count
-    if weight is Weight.FIRST_KIND:
-        w = math.pi / count
-        for i in range(1, count // 2 + 1):
-            x = math.cos((2 * i - 1) * math.pi / (2 * count))
-            xs[i - 1], ws[i - 1] = x, w
-            xs[count - i], ws[count - i] = -x, w
-        if count % 2:
-            xs[count // 2], ws[count // 2] = 0.0, w
-        return list(zip(xs, ws))
-    for i in range(1, count // 2 + 1):
-        t = i * math.pi / (count + 1)
-        s = math.sin(t)
-        x = math.cos(t)
-        w = math.pi / (count + 1) * s * s
-        xs[i - 1], ws[i - 1] = x, w
-        xs[count - i], ws[count - i] = -x, w
-    if count % 2:
-        mid = (count + 1) // 2
-        s = math.sin(mid * math.pi / (count + 1))
-        xs[count // 2], ws[count // 2] = 0.0, math.pi / (count + 1) * s * s
-    return list(zip(xs, ws))
+    nodes = []
+    for i in range(1, (count + 1) // 2 + 1):
+        if weight is Weight.FIRST_KIND:
+            t, w = (2 * i - 1) * math.pi / (2 * count), math.pi / count
+        else:
+            t = i * math.pi / (count + 1)
+            s = math.sin(t)
+            w = math.pi / (count + 1) * s * s
+        nodes.append((0.0 if 2 * i - 1 == count else math.cos(t), w))
+    return nodes
+
+
+def _node_values(p: Polynomial, weight: Weight, count: int) -> list[tuple[float, int, int]]:
+    """(w, n, d) for each node of the full count-node rule, n / d the exact value of p there."""
+    values = []
+    for x, w in quadrature_nodes(weight, count):
+        a, b, d = p.eval_dyadic(x)
+        values.append((w, a, d))
+        if x:  # the midpoint is its own mirror
+            values.append((w, b, d))
+    return values
 
 
 def quadrature_check(p: Polynomial, weight: Weight, nodes: int) -> float:
@@ -188,7 +187,7 @@ def quadrature_check(p: Polynomial, weight: Weight, nodes: int) -> float:
         raise ValueError(
             f"need at least {max(needed, 1)} nodes for degree {p.degree}, got {nodes}"
         )
-    return math.fsum(w * p.eval_float_exact(x) for x, w in quadrature_nodes(weight, nodes))
+    return math.fsum(w * (n / d) for w, n, d in _node_values(p, weight, nodes))
 
 
 QUADRATURE_REL_TOL = 1e-9
@@ -213,22 +212,16 @@ def quadrature_deviation(p: Polynomial, weight: Weight, exact: PiMultiple | None
     """
     if exact is None:
         exact = weighted_integral(p, weight)
-    nodes = quadrature_nodes(weight, max((p.degree + 2) // 2, 1))
-    ratios = [p.eval_dyadic(x) for x, _ in nodes]
+    nodes = _node_values(p, weight, max((p.degree + 2) // 2, 1))
     integral = exact.coefficient.as_integer_ratio()
     # |n/d| < 2^(bits(n) - bits(d) + 1); w < 4 and the sums add bits(len) more.
-    top = max(n.bit_length() - d.bit_length() for n, d in ratios + [integral])
+    top = max(n.bit_length() - d.bit_length() for _, n, d in nodes + [(0.0, *integral)])
     e = max(0, top + len(nodes).bit_length() + 4 - 1024)
-    values = [(w, n / (d << e)) for (_, w), (n, d) in zip(nodes, ratios)]
+    values = [(w, n / (d << e)) for w, n, d in nodes]
     approx = math.fsum(w * v for w, v in values)
     mass = math.fsum(abs(w * v) for w, v in values)
     target = integral[0] / (integral[1] << e) * math.pi
     return abs(approx - target) / max(1.0, mass)
-
-
-def _quadrature_agrees(p: Polynomial, weight: Weight, exact: PiMultiple) -> tuple[bool, float]:
-    rel = quadrature_deviation(p, weight, exact)
-    return rel <= QUADRATURE_REL_TOL, rel
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +292,9 @@ def _oracle_checks(p: Polynomial, weight: Weight) -> tuple[PiMultiple, list[Chec
     by_moments = weighted_integral(p, weight)
     by_expansion = weighted_integral_by_expansion(p, weight)
     checks = [Check("moments-vs-expansion", by_moments, by_expansion)]
-    ok, rel = _quadrature_agrees(p, weight, by_moments)
+    rel = quadrature_deviation(p, weight, by_moments)
     note = f"quadrature rel err {rel!r}"
-    if not ok:
+    if not rel <= QUADRATURE_REL_TOL:
         checks.append(Check("quadrature-within-tolerance", rel, 0.0))
     return by_moments, checks, note
 

@@ -188,23 +188,24 @@ class Polynomial:
             q_power *= q
         return Fraction(acc, den * (q_power // q))
 
-    def eval_dyadic(self, x: float) -> tuple[int, int]:
-        """The exact value at the float point ``x`` as an unreduced ratio (num, den).
+    def eval_dyadic(self, x: float) -> tuple[int, int, int]:
+        """The exact values at the float points x and -x as unreduced ratios a / d and b / d.
 
-        A float is a dyadic rational p / 2^s, so the value is the integer
-        Horner sum of nums[i] p^i 2^(s(degree - i)) over den 2^(s degree),
-        with den the common denominator of the coefficients.
+        A float is a dyadic rational p / 2^s.  One integer Horner pass in p^2
+        sums the even and the odd terms nums[i] p^i 2^(s(degree - i)) into E
+        and O; then a = E + O and b = E - O, over d = den 2^(s degree).
         """
         nums, den = self.integer_form()
         if not nums:
-            return 0, 1
+            return 0, 0, 1
         p, q = x.as_integer_ratio()
         s = q.bit_length() - 1  # float denominators are powers of 2
         degree = len(nums) - 1
-        acc = 0
+        square, parts = p * p, [0, 0]  # the even sum E, and the odd sum O over p
         for i in range(degree, -1, -1):
-            acc = acc * p + (nums[i] << (s * (degree - i)))
-        return acc, den << (s * degree)
+            parts[i & 1] = parts[i & 1] * square + (nums[i] << (s * (degree - i)))
+        even, odd = parts[0], parts[1] * p
+        return even + odd, even - odd, den << (s * degree)
 
     def eval_float_exact(self, x: float) -> float:
         """Value at the float point ``x``, exactly computed and rounded once.
@@ -214,7 +215,7 @@ class Polynomial:
         cancellation between large monomial coefficients, and it is exactly
         odd/even symmetric in x.
         """
-        num, den = self.eval_dyadic(x)
+        num, _, den = self.eval_dyadic(x)
         return num / den
 
     # -- comparison / display --------------------------------------------------

@@ -37,8 +37,9 @@ class RunConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.jmax < 0 or self.qmax < 0:
             raise ValueError("ranges must be nonnegative")
-        if self.jmax > self.safety_cap:
-            raise ValueError(f"jmax {self.jmax} exceeds safety cap {self.safety_cap}")
+        for name, value in (("jmax", self.jmax), ("qmax", self.qmax)):
+            if value > self.safety_cap:
+                raise ValueError(f"{name} {value} exceeds safety cap {self.safety_cap}")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
 
@@ -88,7 +89,7 @@ def _run_lemma(j: int, m: int) -> Report:
 def _run_connection(j: int, direction_value: str) -> Report:
     direction = connection.Direction(direction_value)
     expansion = connection.expand(j, direction)
-    source = expansion.source_polynomial()
+    source = direction.source_polynomial(j)
     rebuilt = expansion.reconstruct()
     checks = [Check("round-trip", rebuilt, source)]
 

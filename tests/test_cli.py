@@ -142,6 +142,16 @@ class TestVerify:
         assert code == 2
         assert "nonnegative" in err
 
+    def test_qmax_over_cap_rejected_before_any_task_is_built(self, capsys, monkeypatch):
+        def no_tasks(config):
+            raise AssertionError("tasks built for a rejected config")
+
+        monkeypatch.setattr(runner, "build_tasks", no_tasks)
+        code, out, err = run_cli(capsys, "verify", "--suite", "cor52", "--jmax", "0", "--qmax", "501")
+        assert code == 2
+        assert out == ""
+        assert "qmax 501 exceeds safety cap 500" in err
+
     def test_worker_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("FIBCHEB_WORKERS", "2")
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemma", "--jmax", "6")

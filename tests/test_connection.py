@@ -73,6 +73,11 @@ class TestExpansions:
         # although expand() keeps the stated range j >= 1.
         assert list(terms(0, Direction.U_IN_F)) == [(0, 1, 1)]
 
+    def test_expand_shares_the_cached_terms(self):
+        for direction in Direction:
+            assert terms(5, direction) is terms(5, direction)
+            assert expand(5, direction).terms is terms(5, direction)
+
     def test_fibonacci_sources_allow_zero(self):
         assert expand(0, Direction.F_IN_T).reconstruct() == Polynomial((1,))
         assert expand(0, Direction.F_IN_U).reconstruct() == Polynomial((1,))
@@ -121,7 +126,7 @@ class TestTheoremsAgainstOracle:
         for direction in Direction:
             for j in range(direction.min_index, 26):
                 expansion = expand(j, direction)
-                source = expansion.source_polynomial()
+                source = direction.source_polynomial(j)
                 assert expansion.reconstruct() == source
                 oracle = dict(oracle_expand(source, direction.target_basis))
                 generated = expansion.coefficients_by_index()

@@ -31,6 +31,36 @@ rational_polys = st.lists(
 ).map(Polynomial)
 
 
+def reference_quadrature(p, weight, count):
+    """Reference: the full count-node rule with both signs explicit, each node
+    valued in Fraction arithmetic, rounded once, summed by fsum."""
+    nodes = []
+    for i in range(1, count // 2 + 1):
+        if weight is Weight.FIRST_KIND:
+            x, w = math.cos((2 * i - 1) * math.pi / (2 * count)), math.pi / count
+        else:
+            t = i * math.pi / (count + 1)
+            s = math.sin(t)
+            x, w = math.cos(t), math.pi / (count + 1) * s * s
+        nodes += [(x, w), (-x, w)]
+    if count % 2:
+        if weight is Weight.FIRST_KIND:
+            w = math.pi / count
+        else:
+            s = math.sin((count + 1) // 2 * math.pi / (count + 1))
+            w = math.pi / (count + 1) * s * s
+        nodes.append((0.0, w))
+    assert len(nodes) == count
+
+    def value(x):
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * Fraction(x) + c
+        return float(acc)
+
+    return math.fsum(w * value(x) for x, w in nodes)
+
+
 def moment_sum(p, weight):
     """Reference: sum of c_i * even_moment(i/2) over the even powers i of p."""
     return sum(
@@ -117,6 +147,11 @@ class TestQuadrature:
         assert quadrature_check(
             Polynomial((0, 0, 0, 0, 1)), Weight.SECOND_KIND, 4
         ) == pytest.approx(math.pi / 16, abs=1e-14)
+
+    @given(rational_polys, st.sampled_from(list(Weight)), st.integers(min_value=0, max_value=3))
+    def test_matches_the_full_rule_bit_for_bit(self, p, weight, extra):
+        count = max((p.degree + 2) // 2, 1) + extra
+        assert quadrature_check(p, weight, count) == reference_quadrature(p, weight, count)
 
     def test_rejects_insufficient_nodes(self):
         with pytest.raises(ValueError):
