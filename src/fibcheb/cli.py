@@ -8,17 +8,17 @@ exact) do not affect the exit code; they are findings, not failures.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
 from . import integrals, runner
-from .connection import Direction, expand
+from .connection import Direction, table_terms
 from .hypergeometric import Hyp2F1, eval_2f1
 from .report import Status
 from .scalars import format_rational, parse_rational
 from .sequences import index_prefix
+
+TABLE_FIELDS = ("j", "m", "target", "coefficient")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,25 +70,17 @@ def _cmd_table(args) -> int:
         print(f"error: jmax must be in [0, {args.cap}]", file=sys.stderr)
         return 2
     prefix = index_prefix(direction.target_basis)
-    rows = []
-    for j in range(direction.min_index, args.jmax + 1):
-        for term in expand(j, direction).terms:
-            rows.append(
-                {
-                    "j": j,
-                    "m": term.m,
-                    "target": f"{prefix}_{term.target_index}",
-                    "coefficient": format_rational(term.coefficient),
-                }
-            )
+    rows = [
+        (j, term.m, f"{prefix}_{term.target_index}", format_rational(term.coefficient))
+        for j, terms in table_terms(direction, args.jmax)
+        for term in terms
+    ]
     if args.output_format == "json":
-        print(json.dumps(rows, indent=2))
+        print(json.dumps([dict(zip(TABLE_FIELDS, row)) for row in rows], indent=2))
     else:
-        out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=["j", "m", "target", "coefficient"])
-        writer.writeheader()
-        writer.writerows(rows)
-        sys.stdout.write(out.getvalue())
+        # No field can hold a comma, a quote or a line break, so the CSV
+        # dialect's quoting never applies and each row is joined directly.
+        sys.stdout.write("".join(f"{j},{m},{target},{c}\r\n" for j, m, target, c in [TABLE_FIELDS, *rows]))
     return 0
 
 

@@ -5,6 +5,11 @@ sums (kept verbatim, prefactors included, so a transcription slip cannot hide
 behind algebraic simplification), and an independent triangular-elimination
 oracle recovers the same expansion from the polynomials alone.  The two
 routes must agree term by term.
+
+Tables take a third route: ``table_terms`` builds each whole row of
+coefficients from the two rows before it by the family relations, in integer
+additions only, so ``table --jmax 900`` takes seconds.  Only tables use it;
+the tests hold it to the closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .hypergeometric import hyp2f1
 from .polynomials import Polynomial
@@ -147,6 +152,45 @@ def expand(j: int, direction: Direction) -> Expansion:
     return Expansion(j, direction, terms(j, direction))
 
 
+def table_terms(direction: Direction, jmax: int) -> Iterator[tuple[int, tuple[ExpansionTerm, ...]]]:
+    """Yield (j, terms(j, direction)) for j = direction.min_index .. jmax, a whole row per step.
+
+    The rows come from the family relations, not from the closed form.  Row j
+    is kept by m as integers: c(j, m) for a Fibonacci target, and 2^j c(j, m)
+    for a Chebyshev target, where F_{j+2} = x F_{j+1} + F_j with
+    x U_n = (U_{n+1} + U_{n-1}) / 2 gives S(j+1, n) = S(j, n-1) + S(j, n+1)
+    + 4 S(j-1, n) (and x T_0 = T_1 adds S(j, 0) once more to n = 1).  For a
+    Fibonacci target P_{j+1} = 2x P_j - P_{j-1} with x F_k = F_{k+1} - F_{k-1}
+    and F_0 = 0, from T_1 = F_2 or U_1 = 2 F_2.  Tests hold every row to
+    ``terms``; nothing that verifies uses this route.
+    """
+    to_fibonacci = direction.target_basis is Basis.FIBONACCI
+    prev, row = [], [1]  # rows j - 1 and j, from j = 0: F_0 = 0, and F_1 = T_0 = U_0 = 1
+    for j in range(jmax + 1):
+        if j >= direction.min_index:
+            if to_fibonacci:
+                yield j, tuple(ExpansionTerm(m, j - 2 * m + 1, Fraction(c)) for m, c in enumerate(row))
+            else:
+                scale = 1 << j
+                yield j, tuple(ExpansionTerm(m, j - 2 * m, Fraction(s, scale)) for m, s in enumerate(row))
+        if j == 0 and direction is Direction.T_IN_F:
+            step = [1]  # T_1 = x T_0 = F_2
+        elif to_fibonacci:
+            step = [2 * row[0]] + [2 * (row[m] - row[m - 1]) - prev[m - 1] for m in range(1, len(row))]
+            if j % 2:
+                step.append(-2 * row[-1] - prev[-1])
+        else:
+            step = [row[0]] + [row[m] + row[m - 1] + 4 * prev[m - 1] for m in range(1, len(row))]
+            if j % 2:
+                step.append(row[-1] + 4 * prev[-1])
+            elif direction is Direction.F_IN_T:
+                step[-1] += row[-1]
+        prev, row = row, step
+
+
+_ZERO = Fraction(0)
+
+
 def oracle_expand(p: Polynomial, basis: Basis) -> list[tuple[int, Fraction]]:
     """Expand ``p`` over a triangular family by leading-term elimination.
 
@@ -175,7 +219,7 @@ def oracle_expand(p: Polynomial, basis: Basis) -> list[tuple[int, Fraction]]:
             top *= missing
         factor = top // lead
         # the coefficient times elem / elem_den is factor * elem / scale
-        out.append((index_for_degree(basis, degree), Fraction(factor * elem_den, scale)))
+        out.append((index_for_degree(basis, degree), Fraction(factor * elem_den, scale) if factor else _ZERO))
         if factor:
             for i, e in enumerate(elem):
                 if e:

@@ -134,8 +134,8 @@ def weighted_integral_by_expansion(p: Polynomial, weight: Weight) -> PiMultiple:
     if p.is_zero:
         return ZERO_PI
     first = weight is Weight.FIRST_KIND
-    expansion = dict(oracle_expand(p, Basis.CHEBYSHEV_T if first else Basis.CHEBYSHEV_U))
-    constant = expansion.get(0, Fraction(0))
+    # the last pair is the degree-0 (index 0) coefficient
+    _, constant = oracle_expand(p, Basis.CHEBYSHEV_T if first else Basis.CHEBYSHEV_U)[-1]
     return PiMultiple(constant if first else constant / 2)
 
 

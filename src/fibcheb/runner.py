@@ -186,7 +186,10 @@ def run_sweep(config: RunConfig) -> list[Report]:
     if config.workers == 1:
         reports = [execute_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # A pool may start all of its processes at once, so it never gets more
+        # than there are CPUs or tasks; the output does not depend on the count.
+        size = max(1, min(config.workers, os.cpu_count() or 1, len(tasks)))
+        with ProcessPoolExecutor(max_workers=size) as pool:
             reports = list(pool.map(execute_task, tasks, chunksize=16))
     reports.sort(key=lambda r: r.sort_key())
     return reports

@@ -52,6 +52,20 @@ class TestTable:
         assert {"j": 2, "m": 0, "target": "F_3", "coefficient": "2"} in rows
         assert {"j": 2, "m": 1, "target": "F_1", "coefficient": "-3"} in rows
 
+    def test_edge_rows(self, capsys):
+        header = "j,m,target,coefficient\r\n"
+        jmax_zero = ("table", "--direction", "t-in-f", "--jmax", "0")
+        assert run_cli(capsys, *jmax_zero) == (0, header, "")
+        assert run_cli(capsys, *jmax_zero, "--format", "json") == (0, "[]\n", "")
+        first_rows = {
+            "t-in-f": "1,0,F_2,1\r\n",
+            "u-in-f": "1,0,F_2,2\r\n",
+            "f-in-t": "0,0,T_0,1\r\n1,0,T_1,1\r\n",
+            "f-in-u": "0,0,U_0,1\r\n1,0,U_1,1/2\r\n",
+        }
+        for direction, rows in first_rows.items():
+            assert run_cli(capsys, "table", "--direction", direction, "--jmax", "1") == (0, header + rows, "")
+
     def test_jmax_over_cap_rejected(self, capsys):
         code, _, err = run_cli(capsys, "table", "--direction", "f-in-t", "--jmax", "501")
         assert code == 2
@@ -151,6 +165,38 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "qmax 501 exceeds safety cap 500" in err
+
+    @pytest.mark.parametrize(
+        "workers, cpus, expected",
+        # lemma at jmax 6 has 9 tasks
+        [(5000, 4, 4), (3, 4, 3), (2, None, 1), (5000, 64, 9)],
+    )
+    def test_pool_is_bounded_by_cpus_and_tasks(self, monkeypatch, workers, cpus, expected):
+        # a fake pool records its size and runs in this process: no real
+        # pool is ever started with a large count
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+        config = runner.RunConfig(suite="lemma", jmax=6, workers=workers)
+        assert len(runner.build_tasks(config)) == 9
+        reports = runner.run_sweep(config)
+        assert sizes == [expected]
+        serial = runner.run_sweep(runner.RunConfig(suite="lemma", jmax=6, workers=1))
+        assert reports == serial
 
     def test_worker_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("FIBCHEB_WORKERS", "2")

@@ -16,7 +16,7 @@ from fibcheb import (
     lemma_recurrence_holds,
     oracle_expand,
 )
-from fibcheb.connection import terms
+from fibcheb.connection import table_terms, terms
 from fibcheb.sequences import basis_element_of_degree, index_for_degree
 
 
@@ -81,6 +81,59 @@ class TestExpansions:
     def test_fibonacci_sources_allow_zero(self):
         assert expand(0, Direction.F_IN_T).reconstruct() == Polynomial((1,))
         assert expand(0, Direction.F_IN_U).reconstruct() == Polynomial((1,))
+
+
+def integer_family(p0, p1, x_factor, sign, count):
+    """Members 0 .. count-1 of P_{k+1} = x_factor * P_k + sign * P_{k-1} at one integer point."""
+    values = [p0, p1]
+    while len(values) < count:
+        values.append(x_factor * values[-1] + sign * values[-2])
+    return values
+
+
+class TestTableTerms:
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_rows_equal_the_closed_form(self, direction):
+        rows = list(table_terms(direction, 200))
+        assert [j for j, _ in rows] == list(range(direction.min_index, 201))
+        for j, row in rows:
+            assert row == terms(j, direction), (direction, j)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_large_rows_sum_to_the_source_at_integer_points(self, direction):
+        # F_k(x), T_n(x) and U_n(x) at x = 1, 2 from their own integer
+        # recurrences, independent of the closed form and of the generator
+        jmax = 900
+        count = jmax + 2
+        values = {
+            x: {
+                Basis.FIBONACCI: integer_family(0, 1, x, 1, count),
+                Basis.CHEBYSHEV_T: integer_family(1, x, 2 * x, -1, count),
+                Basis.CHEBYSHEV_U: integer_family(1, 2 * x, 2 * x, -1, count),
+            }
+            for x in (1, 2)
+        }
+        shift = 1 if direction.target_basis is Basis.FIBONACCI else 0
+        source_basis, source_shift = {
+            Direction.T_IN_F: (Basis.CHEBYSHEV_T, 0),
+            Direction.U_IN_F: (Basis.CHEBYSHEV_U, 0),
+        }.get(direction, (Basis.FIBONACCI, 1))
+        last = direction.min_index - 1
+        for j, row in table_terms(direction, jmax):
+            assert j == last + 1
+            last = j
+            assert [(t.m, t.target_index) for t in row] == [(m, j - 2 * m + shift) for m in range(j // 2 + 1)]
+            scale = 1 << j
+            assert all(scale % t.coefficient.denominator == 0 for t in row), (direction, j)
+            for x in (1, 2):
+                target = values[x][direction.target_basis]
+                source = values[x][source_basis][j + source_shift]
+                total = sum(
+                    t.coefficient.numerator * (scale // t.coefficient.denominator) * target[t.target_index]
+                    for t in row
+                )
+                assert total == scale * source, (direction, j, x)
+        assert last == jmax
 
 
 class TestOracleExpand:

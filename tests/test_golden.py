@@ -27,9 +27,13 @@ GOLDEN = {
     # the only CLI output whose quadrature takes the 2^-e scaling path (e > 0)
     "integrate_ft_1500_0.txt": (["integrate", "--kind", "ft", "--j", "1500", "--k", "0"], 0),
     **{
-        f"table_{direction}_j60.csv": (["table", "--direction", direction, "--jmax", "60"], 0)
+        f"table_{direction}_j{jmax}.csv{suffix}": (
+            ["table", "--direction", direction, "--jmax", str(jmax)], 0)
         for direction in ("t-in-f", "u-in-f", "f-in-t", "f-in-u")
+        for jmax, suffix in ((60, ""), (200, ".sha256"))
     },
+    "table_u-in-f_j30.json": (
+        ["table", "--direction", "u-in-f", "--jmax", "30", "--format", "json"], 0),
     **{
         f"integrate_{kind}_{j}_{k}.txt": (
             ["integrate", "--kind", kind, "--j", str(j), "--k", str(k)], 0)
