@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import integrals, runner
 from .connection import Direction, table_terms
@@ -19,6 +20,14 @@ from .scalars import format_rational, parse_rational
 from .sequences import index_prefix
 
 TABLE_FIELDS = ("j", "m", "target", "coefficient")
+
+
+def rational(text: str) -> Fraction:
+    """The type of the eval parameters: argparse names the flag and the text it rejects."""
+    try:
+        return parse_rational(text)
+    except ZeroDivisionError:  # "1/0" is as invalid as "abc"
+        raise ValueError(text) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,10 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate one terminating 2F1 series",
         epilog="Parameters are rational strings; write negative fractions attached (--b=-1/2).",
     )
-    evaluate.add_argument("--a", required=True)
-    evaluate.add_argument("--b", required=True)
-    evaluate.add_argument("--c", required=True)
-    evaluate.add_argument("--z", required=True)
+    for flag in ("--a", "--b", "--c", "--z"):
+        evaluate.add_argument(flag, required=True, type=rational)
 
     return parser
 
@@ -131,16 +138,8 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_eval(args) -> int:
     try:
-        spec = Hyp2F1(
-            parse_rational(args.a),
-            parse_rational(args.b),
-            parse_rational(args.c),
-            parse_rational(args.z),
-        )
-        value = eval_2f1(spec)
-    except (ValueError, ZeroDivisionError) as exc:
-        # NonTerminatingError / ZeroDenominatorError are ValueErrors too:
-        # all are invalid inputs for an exact evaluation.
+        value = eval_2f1(Hyp2F1(args.a, args.b, args.c, args.z))
+    except ValueError as exc:  # NonTerminatingError, ZeroDenominatorError: invalid inputs
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(format_rational(value))

@@ -132,8 +132,6 @@ def verify_2f1_chain(j: int) -> Report:
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     expected = Fraction(fibonacci_number(j + 1))
-    head_minus4 = hyp2f1(Fraction(-j, 2), Fraction(1 - j, 2), -j, -4)
-    head_arg5 = hyp2f1(Fraction(-j, 2), Fraction(1 - j, 2), Fraction(3, 2), 5)
     sum_one_fifth = Fraction(2) ** (1 - j) * sum(
         Fraction(5) ** m / c_norm(j - 2 * m)
         * binomial(j - m, j - 2 * m)
@@ -148,13 +146,14 @@ def verify_2f1_chain(j: int) -> Report:
         for m in range(j // 2 + 1)
     )
     checks = [
-        Check("2F1(-4)", head_minus4, expected),
-        Check("2F1(5)-scaled", Fraction(j + 1, 2**j) * head_arg5, expected),
+        Check("2F1(-4)", fibonacci_as_2f1(j + 1, FibonacciSeriesVariant.ARG_MINUS_4), expected),
+        Check("2F1(5)-scaled", fibonacci_as_2f1(j + 1, FibonacciSeriesVariant.ARG_5), expected),
         Check("sum(-1/4)", _fib_sum_first_kind(j), expected),
         Check("sum(-4)", _fib_sum_second_kind(j), expected),
         Check("sum(1/5)", sum_one_fifth, expected),
         Check("sum(4/5)", Fraction(1, 2**j) * four_fifths_sum, expected),
     ]
+    head_arg5 = hyp2f1(Fraction(-j, 2), Fraction(1 - j, 2), Fraction(3, 2), 5)
     printed_tail = Fraction(1, 2**j) * four_fifths_sum  # printed: equals 2F1(5) value
     corrected_tail = Fraction(1, j + 1) * four_fifths_sum
     note = ""
@@ -233,15 +232,15 @@ def verify_laurent_identity(j: int, x0: Fraction) -> Report:
 def verify_trig_identity(j: int, theta: float) -> float:
     """|F_{j+1}(cos t) - sum_m A_m cos((j-2m) t)| in floating point.
 
-    The only floating-point check among the identity verifiers (the exact
-    Laurent check at |x0| = 1 subsumes this identity algebraically).  The
-    polynomial side is evaluated exactly at the rounded cos t and converted
-    once, so the residual reflects only the trigonometric rounding of the
-    right-hand side.
+    The only floating-point check among the identity verifiers.  The exact
+    Laurent check does not cover it: its points are real, and the only one on
+    the unit circle is x0 = 1.  The polynomial side is evaluated exactly at the
+    rounded cos t and rounded once (``eval_float_exact``), so the residual
+    reflects only the trigonometric rounding of the right-hand side.
     """
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    lhs = float(fibonacci_poly(j + 1)(Fraction(math.cos(theta))))
+    lhs = fibonacci_poly(j + 1).eval_float_exact(math.cos(theta))
     rhs = math.fsum(float(c) * math.cos(n * theta) for _, n, c in terms(j, Direction.F_IN_T))
     return abs(lhs - rhs)
 

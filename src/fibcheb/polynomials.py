@@ -7,9 +7,10 @@ numerator, gcd(den, *nums) = 1, and the zero polynomial is ((), 1) with
 degree -1.  So equality is plain equality of the two fields, and the
 ``Fraction`` coefficients are derived only when they are read.
 
-Sums, products, derivatives and evaluations work on the integer numerators
-alone, and each result is reduced to lowest terms once, at the end.  The
-family polynomials all have denominator 1.
+Sums, products, derivatives and evaluations (rational and Gaussian points
+share one Horner loop) work on the integer numerators alone, and each result
+is reduced to lowest terms once, at the end.  The family polynomials all have
+denominator 1.
 """
 
 from __future__ import annotations
@@ -170,23 +171,24 @@ class Polynomial:
         return Polynomial._from_lattice(out, den)
 
     def __call__(self, point):
-        """Horner evaluation; exact for rational or Gaussian rational points."""
+        """Exact value at the rational or Gaussian point (p + r i) / q (r = 0 if rational).
+
+        One integer Horner pass sums nums[i] (p + r i)^i q^(degree - i) as an
+        integer pair, put over den q^degree and reduced once: a ``Fraction``,
+        or a ``GaussianRational`` at a Gaussian point.
+        """
         nums, den = self.integer_form()
-        if isinstance(point, GaussianRational):
-            acc = GaussianRational(0)
-            for n in reversed(nums):
-                acc = acc * point + n
-            return acc if den == 1 else acc / den
-        point = Fraction(point)
-        if not nums:
-            return Fraction(0)
-        p, q = point.numerator, point.denominator
-        # sum nums[i] p^i q^(degree - i), over den q^degree
-        acc, q_power = 0, 1
-        for n in reversed(nums):
-            acc = acc * p + n * q_power
+        gaussian = isinstance(point, GaussianRational)
+        re, im = (point.re, point.im) if gaussian else (Fraction(point), 0)
+        q = math.lcm(re.denominator, im.denominator)
+        p, r = re.numerator * (q // re.denominator), im.numerator * (q // im.denominator)
+        acc_re, acc_im, q_power = 0, 0, 1
+        for n in reversed(nums or (0,)):  # the zero polynomial as one zero term
+            acc_re, acc_im = acc_re * p - acc_im * r + n * q_power, acc_re * r + acc_im * p
             q_power *= q
-        return Fraction(acc, den * (q_power // q))
+        den *= q_power // q
+        value = Fraction(acc_re, den)
+        return GaussianRational(value, Fraction(acc_im, den)) if gaussian else value
 
     def eval_dyadic(self, x: float) -> tuple[int, int, int]:
         """The exact values at the float points x and -x as unreduced ratios a / d and b / d.

@@ -37,6 +37,14 @@ class TestEval:
         assert code == 2
         assert "terminate" in err
 
+    @pytest.mark.parametrize("flag, text", [("--z", "1/0"), ("--b", "abc")])
+    def test_unparsable_parameter_names_its_flag(self, capsys, flag, text):
+        argv = {"--a": "-2", "--b": "1", "--c": "1", "--z": "1"} | {flag: text}
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", *(f"{k}={v}" for k, v in argv.items())])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid rational value: '{text}'" in capsys.readouterr().err
+
 
 class TestTable:
     def test_csv_rows(self, capsys):

@@ -13,6 +13,12 @@ from fibcheb import GaussianRational, Polynomial
 coeff = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4)
 polys = st.lists(coeff, max_size=7).map(Polynomial)
 points = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6)
+# Both parts nonzero, over different denominators, so the point's common denominator is an lcm.
+gaussian_points = (
+    st.tuples(points.filter(bool), points.filter(bool))
+    .filter(lambda parts: parts[0].denominator != parts[1].denominator)
+    .map(lambda parts: GaussianRational(*parts))
+)
 
 # At least one coefficient is not an integer, so the common denominator is not 1.
 fractional = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12)
@@ -41,10 +47,8 @@ def naive_derivative(p, order):
 
 
 def naive_value(p, x):
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
+    """Reference: sum of c_i x^i in the arithmetic of the point (Fraction or GaussianRational)."""
+    return sum((c * x**i for i, c in enumerate(p.coeffs)), x * 0)
 
 
 class TestIntegerLatticeAgainstFractions:
@@ -71,6 +75,10 @@ class TestIntegerLatticeAgainstFractions:
     @given(fractional_polys, points)
     def test_rational_evaluation(self, p, x):
         assert p(x) == naive_value(p, x)
+
+    @given(st.one_of(fractional_polys, polys), gaussian_points)
+    def test_gaussian_evaluation(self, p, z):
+        assert p(z) == naive_value(p, z)
 
     @given(fractional_polys, float_points)
     def test_eval_float_exact(self, p, x):
@@ -209,6 +217,16 @@ class TestEvaluation:
         # 4x^2 - 1 at i/2 equals -2
         p = Polynomial((-1, 0, 4))
         assert p(GaussianRational(0, Fraction(1, 2))) == -2
+
+    @pytest.mark.parametrize("cs", CANONICAL_SAMPLES)
+    def test_result_type_follows_the_point(self, cs):
+        p = Polynomial(cs)
+        rational = [0, 3, Fraction(-2, 3)]
+        gaussian = [GaussianRational(0, Fraction(1, 2)), GaussianRational(Fraction(1, 3), -2), GaussianRational(5)]
+        for point, kind in [(x, Fraction) for x in rational] + [(z, GaussianRational) for z in gaussian]:
+            value = p(point)
+            assert type(value) is kind
+            assert value == naive_value(p, point)
 
     def test_eval_float_exact_matches_exact_value(self):
         p = Polynomial((Fraction(1, 3), 0, -2, 5))
