@@ -17,7 +17,6 @@ from .connection import Direction, table_terms
 from .hypergeometric import Hyp2F1, eval_2f1
 from .report import Status
 from .scalars import format_rational, parse_rational
-from .sequences import index_prefix
 
 TABLE_FIELDS = ("j", "m", "target", "coefficient")
 
@@ -76,9 +75,9 @@ def _cmd_table(args) -> int:
     if args.jmax < 0 or args.jmax > args.cap:
         print(f"error: jmax must be in [0, {args.cap}]", file=sys.stderr)
         return 2
-    prefix = index_prefix(direction.target_basis)
+    label = direction.target_basis.value
     rows = [
-        (j, term.m, f"{prefix}_{term.target_index}", format_rational(term.coefficient))
+        (j, term.m, f"{label}_{term.target_index}", format_rational(term.coefficient))
         for j, terms in table_terms(direction, args.jmax)
         for term in terms
     ]

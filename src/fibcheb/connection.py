@@ -24,42 +24,30 @@ from typing import Iterator, NamedTuple
 from .hypergeometric import hyp2f1
 from .polynomials import Polynomial
 from .scalars import binomial
-from .sequences import (
-    Basis,
-    basis_element_of_degree,
-    c_norm,
-    chebyshev_t,
-    chebyshev_u,
-    fibonacci_poly,
-    index_for_degree,
-)
+from .sequences import Basis, c_norm
 
 
 class Direction(Enum):
-    """Which family is expanded in which basis."""
+    """Which family (the value's first letter) is expanded in which basis (its last letter)."""
 
     T_IN_F = "t-in-f"
     U_IN_F = "u-in-f"
     F_IN_T = "f-in-t"
     F_IN_U = "f-in-u"
 
-    @property
-    def target_basis(self) -> Basis:
-        if self in (Direction.T_IN_F, Direction.U_IN_F):
-            return Basis.FIBONACCI
-        return Basis.CHEBYSHEV_T if self is Direction.F_IN_T else Basis.CHEBYSHEV_U
+    def __init__(self, value: str):
+        self.source_basis = Basis(value[0].upper())
+        self.target_basis = Basis(value[-1].upper())
 
     @property
     def min_index(self) -> int:
         # The T/U-in-F formulas are stated for source index >= 1 only.
-        return 1 if self in (Direction.T_IN_F, Direction.U_IN_F) else 0
+        return 0 if self.source_basis is Basis.FIBONACCI else 1
 
     def source_polynomial(self, j: int) -> Polynomial:
-        if self is Direction.T_IN_F:
-            return chebyshev_t(j)
-        if self is Direction.U_IN_F:
-            return chebyshev_u(j)
-        return fibonacci_poly(j + 1)
+        """The degree-j member of the source family."""
+        source = self.source_basis
+        return source.member(j + source.shift)
 
 
 class ExpansionTerm(NamedTuple):
@@ -74,7 +62,7 @@ class Expansion:
 
     Terms are indexed both by the summation index m and by the target family
     index, since the closed forms are m-indexed while verification works by
-    degree.
+    target index.
     """
 
     j: int
@@ -89,8 +77,7 @@ class Expansion:
         basis = self.direction.target_basis
         total = Polynomial.zero()
         for t in self.terms:
-            degree = t.target_index - 1 if basis is Basis.FIBONACCI else t.target_index
-            total = total + basis_element_of_degree(basis, degree) * t.coefficient
+            total = total + basis.member(t.target_index) * t.coefficient
         return total
 
 
@@ -132,12 +119,12 @@ def terms(j: int, direction: Direction) -> tuple[ExpansionTerm, ...]:
     """The terms (m, target index, coefficient) of the degree-j expansion, m = 0 .. floor(j/2).
 
     The coefficient is evaluated verbatim from the closed-form sum for the
-    chosen direction; the target index is j-2m+1 for Fibonacci targets and
-    j-2m for Chebyshev targets.  This cached tuple is the one record of each
-    expansion; ``expand`` wraps it, and the corollaries evaluate the same sums
-    at supplied basis values, some at j = 0, below ``direction.min_index``.
+    chosen direction; the target index is j-2m plus the target family's shift.
+    This cached tuple is the one record of each expansion; ``expand`` wraps
+    it, and the corollaries evaluate the same sums at supplied basis values,
+    some at j = 0, below ``direction.min_index``.
     """
-    shift = 1 if direction.target_basis is Basis.FIBONACCI else 0
+    shift = direction.target_basis.shift
     return tuple(
         ExpansionTerm(m, j - 2 * m + shift, _coefficient(j, m, direction))
         for m in range(j // 2 + 1)
@@ -164,15 +151,16 @@ def table_terms(direction: Direction, jmax: int) -> Iterator[tuple[int, tuple[Ex
     and F_0 = 0, from T_1 = F_2 or U_1 = 2 F_2.  Tests hold every row to
     ``terms``; nothing that verifies uses this route.
     """
+    shift = direction.target_basis.shift
     to_fibonacci = direction.target_basis is Basis.FIBONACCI
     prev, row = [], [1]  # rows j - 1 and j, from j = 0: F_0 = 0, and F_1 = T_0 = U_0 = 1
     for j in range(jmax + 1):
         if j >= direction.min_index:
             if to_fibonacci:
-                yield j, tuple(ExpansionTerm(m, j - 2 * m + 1, Fraction(c)) for m, c in enumerate(row))
+                yield j, tuple(ExpansionTerm(m, j - 2 * m + shift, Fraction(c)) for m, c in enumerate(row))
             else:
                 scale = 1 << j
-                yield j, tuple(ExpansionTerm(m, j - 2 * m, Fraction(s, scale)) for m, s in enumerate(row))
+                yield j, tuple(ExpansionTerm(m, j - 2 * m + shift, Fraction(s, scale)) for m, s in enumerate(row))
         if j == 0 and direction is Direction.T_IN_F:
             step = [1]  # T_1 = x T_0 = F_2
         elif to_fibonacci:
@@ -209,7 +197,8 @@ def oracle_expand(p: Polynomial, basis: Basis) -> list[tuple[int, Fraction]]:
     rest = list(nums)
     out: list[tuple[int, Fraction]] = []
     for degree in range(p.degree, -1, -1):
-        elem, elem_den = basis_element_of_degree(basis, degree).integer_form()
+        index = degree + basis.shift
+        elem, elem_den = basis.member(index).integer_form()
         lead = elem[-1]
         top = rest[degree]
         missing = abs(lead) // math.gcd(top, lead)
@@ -219,7 +208,7 @@ def oracle_expand(p: Polynomial, basis: Basis) -> list[tuple[int, Fraction]]:
             top *= missing
         factor = top // lead
         # the coefficient times elem / elem_den is factor * elem / scale
-        out.append((index_for_degree(basis, degree), Fraction(factor * elem_den, scale) if factor else _ZERO))
+        out.append((index, Fraction(factor * elem_den, scale) if factor else _ZERO))
         if factor:
             for i, e in enumerate(elem):
                 if e:

@@ -165,10 +165,7 @@ class Polynomial:
         if order == 0:
             return self
         nums, den = self.integer_form()
-        out = list(nums)
-        for _ in range(order):
-            out = [i * n for i, n in enumerate(out)][1:]
-        return Polynomial._from_lattice(out, den)
+        return Polynomial._from_lattice([math.perm(i, order) * nums[i] for i in range(order, len(nums))], den)
 
     def __call__(self, point):
         """Exact value at the rational or Gaussian point (p + r i) / q (r = 0 if rational).

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import connection, identities, integrals
 from .report import Check, Report, Status, make_report
+from .sequences import Basis
 
 DEFAULT_SAFETY_CAP = 500
 TRIG_ABS_TOL = 1e-9
@@ -101,7 +102,7 @@ def _run_connection(j: int, direction_value: str) -> Report:
     )
     checks.append(Check("oracle-match", agree, True))
 
-    if direction in (connection.Direction.F_IN_T, connection.Direction.F_IN_U):
+    if direction.source_basis is Basis.FIBONACCI:
         positive = all(t.coefficient > 0 for t in expansion.terms)
         checks.append(Check("coefficients-positive", positive, True))
 
@@ -124,7 +125,7 @@ FAMILIES = {
     "cor52": lambda j, q: identities.verify_derivative_corollaries(j, q),
     "complex": lambda n: identities.verify_complex_identities(n),
     "chain": lambda j: identities.verify_2f1_chain(j),
-    "laurent": lambda j, x0: identities.verify_laurent_identity(j, Fraction(x0)),
+    "laurent": lambda j, x0: identities.verify_laurent_identity(j, x0),
     "trig": _run_trig,
     "fib2f1": lambda n: identities.verify_fib_2f1_representations(n),
     "lemma": _run_lemma,
@@ -147,7 +148,7 @@ SUITES = {
     "complex": lambda jmax, qmax: [("complex", n) for n in range(jmax + 1)],
     "chain": lambda jmax, qmax: [("chain", j) for j in range(jmax + 1)],
     "laurent": lambda jmax, qmax: [
-        ("laurent", j, str(x0)) for j in range(jmax + 1) for x0 in LAURENT_POINTS
+        ("laurent", j, x0) for j in range(jmax + 1) for x0 in LAURENT_POINTS
     ],
     "trig": lambda jmax, qmax: [("trig", j) for j in range(jmax + 1)],
     "fib2f1": lambda jmax, qmax: [("fib2f1", n) for n in range(1, jmax + 1)],

@@ -17,11 +17,25 @@ from .scalars import binomial
 
 
 class Basis(Enum):
-    """The three triangular polynomial families handled by the library."""
+    """The three triangular polynomial families handled by the library, by table label.
 
-    FIBONACCI = "fibonacci"
-    CHEBYSHEV_T = "chebyshev-t"
-    CHEBYSHEV_U = "chebyshev-u"
+    ``shift`` is index minus degree: the connection formulae pair F_{j+1}, of
+    degree j, with T_j and U_j.
+    """
+
+    FIBONACCI = "F"
+    CHEBYSHEV_T = "T"
+    CHEBYSHEV_U = "U"
+
+    @property
+    def shift(self) -> int:
+        return 1 if self is Basis.FIBONACCI else 0
+
+    def member(self, index: int) -> Polynomial:
+        """F_index, T_index or U_index, by a constructor looked up when called (a replaced one is honored)."""
+        if self is Basis.FIBONACCI:
+            return fibonacci_poly(index)
+        return chebyshev_t(index) if self is Basis.CHEBYSHEV_T else chebyshev_u(index)
 
 
 def c_norm(n: int) -> Fraction:
@@ -153,23 +167,3 @@ def cheb_deriv_at_1(kind: Basis, q: int, n: int) -> Fraction:
             out *= Fraction((n - i) * (n + i + 2), 2 * i + 3)
         return out
     raise ValueError(f"kind must be a Chebyshev family, got {kind}")
-
-
-def basis_element_of_degree(basis: Basis, degree: int) -> Polynomial:
-    """The unique member of the family with the given degree."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if basis is Basis.FIBONACCI:
-        return fibonacci_poly(degree + 1)
-    if basis is Basis.CHEBYSHEV_T:
-        return chebyshev_t(degree)
-    return chebyshev_u(degree)
-
-
-def index_for_degree(basis: Basis, degree: int) -> int:
-    """Reporting index of the degree-d element: d+1 for F, d for T and U."""
-    return degree + 1 if basis is Basis.FIBONACCI else degree
-
-
-def index_prefix(basis: Basis) -> str:
-    return {"fibonacci": "F", "chebyshev-t": "T", "chebyshev-u": "U"}[basis.value]

@@ -17,7 +17,6 @@ from fibcheb import (
     oracle_expand,
 )
 from fibcheb.connection import table_terms, terms
-from fibcheb.sequences import basis_element_of_degree, index_for_degree
 
 
 def rebuild_elimination(p, basis):
@@ -25,9 +24,10 @@ def rebuild_elimination(p, basis):
     out = []
     rest = p
     for degree in range(p.degree, -1, -1):
-        elem = basis_element_of_degree(basis, degree)
+        index = degree + 1 if basis is Basis.FIBONACCI else degree
+        elem = basis.member(index)
         coeff = rest.coefficient(degree) / elem.leading_coefficient
-        out.append((index_for_degree(basis, degree), coeff))
+        out.append((index, coeff))
         if coeff != 0:
             rest = rest - elem * coeff
     assert rest.is_zero
@@ -41,6 +41,21 @@ rational_polys = st.lists(
 
 def coefficients(j, direction):
     return {t.target_index: t.coefficient for t in expand(j, direction).terms}
+
+
+class TestDirection:
+    def test_source_and_target_families(self):
+        assert {d: (d.source_basis, d.target_basis) for d in Direction} == {
+            Direction.T_IN_F: (Basis.CHEBYSHEV_T, Basis.FIBONACCI),
+            Direction.U_IN_F: (Basis.CHEBYSHEV_U, Basis.FIBONACCI),
+            Direction.F_IN_T: (Basis.FIBONACCI, Basis.CHEBYSHEV_T),
+            Direction.F_IN_U: (Basis.FIBONACCI, Basis.CHEBYSHEV_U),
+        }
+
+    def test_source_polynomial_has_degree_j(self):
+        for direction in Direction:
+            for j in range(21):
+                assert direction.source_polynomial(j).degree == j, (direction, j)
 
 
 class TestExpansions:
@@ -154,8 +169,7 @@ class TestOracleExpand:
         for basis in Basis:
             total = Polynomial.zero()
             for index, c in oracle_expand(p, basis):
-                degree = index - 1 if basis is Basis.FIBONACCI else index
-                total = total + basis_element_of_degree(basis, degree) * c
+                total = total + basis.member(index) * c
             assert total == p
 
     @given(rational_polys, st.sampled_from(list(Basis)))
@@ -163,12 +177,14 @@ class TestOracleExpand:
         assert oracle_expand(p, basis) == rebuild_elimination(p, basis)
 
     def test_raises_on_a_nonzero_remainder(self, monkeypatch):
-        # a family whose degree-d slot holds the degree-(d-1) member is not
+        # a family whose index-n slot holds the index-(n-1) member is not
         # triangular: the top coefficient of each step is never removed
-        def shifted(basis, degree):
-            return basis_element_of_degree(basis, max(degree - 1, 0))
+        member = Basis.member
 
-        monkeypatch.setattr("fibcheb.connection.basis_element_of_degree", shifted)
+        def shifted(basis, index):
+            return member(basis, max(index - 1, 0))
+
+        monkeypatch.setattr(Basis, "member", shifted)
         with pytest.raises(AssertionError, match="nonzero remainder"):
             oracle_expand(Polynomial((1, 0, 1)), Basis.CHEBYSHEV_T)
 

@@ -129,6 +129,20 @@ class TestDerivativeValues:
             cheb_deriv_at_1(Basis.FIBONACCI, 1, 3)
 
 
+class TestBasis:
+    def test_member_and_shift(self):
+        # index minus degree is the shift, F_0 (the zero polynomial, degree -1) included
+        families = (fibonacci_poly, chebyshev_t, chebyshev_u)
+        for basis, family in zip(Basis, families):
+            for n in range(41):
+                member = basis.member(n)
+                assert member == family(n), (basis, n)
+                assert member.degree == n - basis.shift, (basis, n)
+
+    def test_labels(self):
+        assert [basis.value for basis in Basis] == ["F", "T", "U"]
+
+
 def test_c_norm():
     assert c_norm(0) == 2
     assert all(c_norm(n) == 1 for n in range(1, 10))
