@@ -72,6 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_table(args) -> int:
     direction = Direction(args.direction)
+    if args.cap < 0:
+        print(f"error: safety cap must be nonnegative, got {args.cap}", file=sys.stderr)
+        return 2
     if args.jmax < 0 or args.jmax > args.cap:
         print(f"error: jmax must be in [0, {args.cap}]", file=sys.stderr)
         return 2

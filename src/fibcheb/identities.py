@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
+from functools import lru_cache, partial
 
 from .connection import Direction, terms
 from .hypergeometric import FibonacciSeriesVariant, fibonacci_as_2f1, hyp2f1
 from .report import Check, Report, make_report
-from .scalars import GaussianRational, I, binomial, pochhammer, sqrt_pi_over_gamma
+from .scalars import GaussianRational, I, binomial, lattice_parts, pochhammer, sqrt_pi_over_gamma
 from .sequences import (
     Basis,
     c_norm,
@@ -45,11 +45,26 @@ def _expansion_at(j: int, direction: Direction, value_at):
     Sums c(j, m) * value_at(target index) over the terms of the expansion, so
     every corollary that evaluates an expansion at a special point (x = 1,
     a Laurent point, cos t, i/2, -2i) reuses the one transcription of its
-    coefficients in ``connection``.  The first term starts the sum, so a
-    Gaussian sum pays no addition to 0.
+    coefficients in ``connection``.  Each term is an integer pair over
+    c.denominator * q, with the value written (p + r i) / q by
+    ``lattice_parts``; the pairs are summed over a running lcm of those
+    denominators and reduced once, to a ``Fraction``, or to a
+    ``GaussianRational`` if any value was Gaussian.
     """
-    first, *rest = (c * value_at(n) for _, n, c in terms(j, direction))
-    return sum(rest, first)
+    acc_re, acc_im, den, gaussian = 0, 0, 1, False
+    for _, n, c in terms(j, direction):
+        value = value_at(n)
+        gaussian = gaussian or isinstance(value, GaussianRational)
+        p, r, q = lattice_parts(value)
+        d = c.denominator * q
+        if den % d:
+            lcm = math.lcm(den, d)
+            acc_re, acc_im, den = acc_re * (lcm // den), acc_im * (lcm // den), lcm
+        scale = den // d * c.numerator
+        acc_re += scale * p
+        acc_im += scale * r
+    total = Fraction(acc_re, den)
+    return GaussianRational(total, Fraction(acc_im, den)) if gaussian else total
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +192,16 @@ def verify_2f1_chain(j: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
+HALF_I = GaussianRational(0, Fraction(1, 2))
+MINUS_TWO_I = GaussianRational(0, -2)
+
+
+@lru_cache(maxsize=None)
+def _fibonacci_at(k: int, point: GaussianRational) -> GaussianRational:
+    """F_k at a Gaussian point, computed once per (k, point) for the sums of every n."""
+    return fibonacci_poly(k)(point)
+
+
 def verify_complex_identities(n: int) -> Report:
     """Exact Gaussian checks of the four complex-argument identities.
 
@@ -187,18 +212,13 @@ def verify_complex_identities(n: int) -> Report:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    half_i = GaussianRational(0, Fraction(1, 2))
-    minus_two_i = GaussianRational(0, -2)
-
-    u_at_half_i = chebyshev_u(n)(half_i)
-    u_at_minus_two_i = chebyshev_u(n)(minus_two_i)
+    u_at_half_i = chebyshev_u(n)(HALF_I)
+    u_at_minus_two_i = chebyshev_u(n)(MINUS_TWO_I)
     fib_next = Fraction(fibonacci_number(n + 1))
     fib_triple = Fraction(fibonacci_number(3 * (n + 1)))
 
-    sum_half_i = _expansion_at(n, Direction.U_IN_F, lambda k: fibonacci_poly(k)(half_i))
-    sum_minus_two_i = 2 * _expansion_at(
-        n, Direction.U_IN_F, lambda k: fibonacci_poly(k)(minus_two_i)
-    )
+    sum_half_i = _expansion_at(n, Direction.U_IN_F, partial(_fibonacci_at, point=HALF_I))
+    sum_minus_two_i = 2 * _expansion_at(n, Direction.U_IN_F, partial(_fibonacci_at, point=MINUS_TWO_I))
 
     checks = [
         Check("eq-complex-1", u_at_half_i / I**n, GaussianRational(fib_next)),
@@ -250,26 +270,24 @@ def verify_trig_identity(j: int, theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _t_deriv_at_1(q: int) -> Callable[[int], Fraction]:
-    """n -> T_n^(q)(1) as printed: (-1)^(q+1) sqrt(pi)/Gamma(q+1/2) 2^-q n^2 (n+1)_(q-1) (1-n)_(q-1)."""
+@lru_cache(maxsize=None)
+def _t_deriv_at_1(q: int, n: int) -> Fraction:
+    """T_n^(q)(1) as printed: (-1)^(q+1) sqrt(pi)/Gamma(q+1/2) 2^-q n^2 (n+1)_(q-1) (1-n)_(q-1)."""
     prefactor = Fraction((-1) ** (q + 1)) * sqrt_pi_over_gamma(q, Fraction(1, 2)) / 2**q
-    return lambda n: prefactor * n**2 * pochhammer(n + 1, q - 1) * pochhammer(1 - n, q - 1)
+    return prefactor * n**2 * pochhammer(n + 1, q - 1) * pochhammer(1 - n, q - 1)
 
 
-def _u_deriv_at_1(q: int, *, include_missing_factor: bool) -> Callable[[int], Fraction]:
-    """n -> U_n^(q)(1) as printed: (-1)^(q+1) sqrt(pi)/Gamma(q+3/2) 2^(-q-1) n(n+1)(n+2) (n+3)_(q-1).
+@lru_cache(maxsize=None)
+def _u_deriv_at_1(q: int, n: int, *, include_missing_factor: bool) -> Fraction:
+    """U_n^(q)(1) as printed: (-1)^(q+1) sqrt(pi)/Gamma(q+3/2) 2^(-q-1) n(n+1)(n+2) (n+3)_(q-1).
 
     The second-kind derivative formula for F^(q)_{j+1} lacks the rising
     factorial (1-n)_(q-1) that formal differentiation of the parent expansion
     produces; with the factor restored the value is U_n^(q)(1) for every q.
     """
     prefactor = Fraction((-1) ** (q + 1)) * sqrt_pi_over_gamma(q, Fraction(3, 2)) / 2 ** (q + 1)
-
-    def value(n: int) -> Fraction:
-        printed = prefactor * pochhammer(n, 3) * pochhammer(n + 3, q - 1)
-        return printed * pochhammer(1 - n, q - 1) if include_missing_factor else printed
-
-    return value
+    printed = prefactor * pochhammer(n, 3) * pochhammer(n + 3, q - 1)
+    return printed * pochhammer(1 - n, q - 1) if include_missing_factor else printed
 
 
 def verify_derivative_corollaries(j: int, q: int) -> Report:
@@ -296,22 +314,22 @@ def verify_derivative_corollaries(j: int, q: int) -> Report:
     # The right sides of the two weighted sums are the closed forms of
     # T_j^(q)(1) / j and U_j^(q)(1) / 2^j, the latter with (1-j)_(q-1).
     if j >= 1:
-        sum_T = _expansion_at(j, Direction.T_IN_F, lambda n: fibonacci_deriv_at_1(q, n))
-        checks.append(Check("sum-T", sum_T / j, _t_deriv_at_1(q)(j) / j))
+        sum_T = _expansion_at(j, Direction.T_IN_F, partial(fibonacci_deriv_at_1, q))
+        checks.append(Check("sum-T", sum_T / j, _t_deriv_at_1(q, j) / j))
         checks.append(Check("sum-T-vs-DqT", sum_T, cheb_deriv_at_1(Basis.CHEBYSHEV_T, q, j)))
     else:
         note = "sum-T skipped at j = 0 (closed form divides by j - m)"
 
-    sum_U = _expansion_at(j, Direction.U_IN_F, lambda n: fibonacci_deriv_at_1(q, n))
-    rhs_U = _u_deriv_at_1(q, include_missing_factor=True)(j) / 2**j
+    sum_U = _expansion_at(j, Direction.U_IN_F, partial(fibonacci_deriv_at_1, q))
+    rhs_U = _u_deriv_at_1(q, j, include_missing_factor=True) / 2**j
     checks.append(Check("sum-U", sum_U / 2**j, rhs_U))
     checks.append(Check("sum-U-vs-DqU", sum_U, cheb_deriv_at_1(Basis.CHEBYSHEV_U, q, j)))
 
     oracle = fibonacci_deriv_at_1(q, j + 1)
-    checks.append(Check("deriv-T", _expansion_at(j, Direction.F_IN_T, _t_deriv_at_1(q)), oracle))
+    checks.append(Check("deriv-T", _expansion_at(j, Direction.F_IN_T, partial(_t_deriv_at_1, q)), oracle))
 
     printed_U, corrected_U = (
-        _expansion_at(j, Direction.F_IN_U, _u_deriv_at_1(q, include_missing_factor=fix))
+        _expansion_at(j, Direction.F_IN_U, partial(_u_deriv_at_1, q, include_missing_factor=fix))
         for fix in (False, True)
     )
     checks.append(Check("deriv-U-corrected", corrected_U, oracle))

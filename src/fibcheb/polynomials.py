@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .scalars import GaussianRational, RationalLike, format_rational
+from .scalars import GaussianRational, RationalLike, format_rational, lattice_parts
 
 
 class Polynomial:
@@ -175,17 +175,16 @@ class Polynomial:
         or a ``GaussianRational`` at a Gaussian point.
         """
         nums, den = self.integer_form()
-        gaussian = isinstance(point, GaussianRational)
-        re, im = (point.re, point.im) if gaussian else (Fraction(point), 0)
-        q = math.lcm(re.denominator, im.denominator)
-        p, r = re.numerator * (q // re.denominator), im.numerator * (q // im.denominator)
+        p, r, q = lattice_parts(point)
         acc_re, acc_im, q_power = 0, 0, 1
         for n in reversed(nums or (0,)):  # the zero polynomial as one zero term
             acc_re, acc_im = acc_re * p - acc_im * r + n * q_power, acc_re * r + acc_im * p
             q_power *= q
         den *= q_power // q
         value = Fraction(acc_re, den)
-        return GaussianRational(value, Fraction(acc_im, den)) if gaussian else value
+        if isinstance(point, GaussianRational):
+            return GaussianRational(value, Fraction(acc_im, den))
+        return value
 
     def eval_dyadic(self, x: float) -> tuple[int, int, int]:
         """The exact values at the float points x and -x as unreduced ratios a / d and b / d.

@@ -53,6 +53,8 @@ class Report:
     printed_residual: object = None
     corrected_residual: object = None
     note: str = ""
+    # "<Type>: <message>" of the exception a verifier raised instead of reporting
+    error: str = ""
 
     def sort_key(self) -> tuple:
         return (self.identity, tuple((k, _display(v)) for k, v in self.params))
@@ -85,6 +87,8 @@ class Report:
             out["corrected_residual"] = _display(self.corrected_residual)
         if self.note:
             out["note"] = self.note
+        if self.error:
+            out["error"] = self.error
         return out
 
 

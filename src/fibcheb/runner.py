@@ -7,6 +7,7 @@ the emitted report byte-identical regardless of worker count.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -38,6 +39,8 @@ class RunConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.jmax < 0 or self.qmax < 0:
             raise ValueError("ranges must be nonnegative")
+        if self.safety_cap < 0:
+            raise ValueError(f"safety cap must be nonnegative, got {self.safety_cap}")
         for name, value in (("jmax", self.jmax), ("qmax", self.qmax)):
             if value > self.safety_cap:
                 raise ValueError(f"{name} {value} exceeds safety cap {self.safety_cap}")
@@ -175,10 +178,25 @@ def build_tasks(config: RunConfig) -> list[Task]:
 
 
 def execute_task(task: Task) -> Report:
+    """The verifier's report, or a Fail report naming the exception the verifier raised.
+
+    A raising task so costs only its own verdict: the sweep, and with it every
+    other result of a process pool, completes, and the exit code is 1.
+    """
     family, *args = task
     if family not in FAMILIES:
         raise ValueError(f"unknown task family {family!r}")
-    return FAMILIES[family](*args)
+    verifier = FAMILIES[family]
+    try:
+        return verifier(*args)
+    except Exception as exc:
+        params = inspect.signature(verifier).bind(*args).arguments
+        return Report(
+            identity=family,
+            params=tuple(params.items()),
+            status=Status.FAIL,
+            error=f"{type(exc).__name__}: {exc}",
+        )
 
 
 def run_sweep(config: RunConfig) -> list[Report]:
@@ -253,6 +271,8 @@ def render_text(summary: dict) -> str:
                     f" printed_residual={rec['printed_residual']}"
                     f" corrected_residual={rec.get('corrected_residual', '-')}"
                 )
+            if "error" in rec:
+                detail += f" error={rec['error']}"
             lines.append(f"  {rec['identity']}({params}): {rec['status']}{detail}")
     failing = summary["counts"]["Fail"]
     lines.append(f"result: {'FAIL' if failing else 'OK'} ({failing} failing)")

@@ -219,3 +219,18 @@ class GaussianRational:
 
 
 I = GaussianRational(0, 1)
+
+
+def lattice_parts(value) -> tuple[int, int, int]:
+    """Integers (p, r, q), q > 0, with value = (p + r i) / q; r = 0 for a rational value.
+
+    q is the lcm of the denominators of the two parts, so integer sums and
+    products of these triples need one reduction only, at the end.
+    """
+    if isinstance(value, GaussianRational):
+        re, im = value.re, value.im
+        q = math.lcm(re.denominator, im.denominator)
+        return re.numerator * (q // re.denominator), im.numerator * (q // im.denominator), q
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, 0, value.denominator

@@ -139,8 +139,13 @@ def fibonacci_number(n: int) -> int:
     return a
 
 
+@lru_cache(maxsize=None)
 def fibonacci_deriv_at_1(q: int, n: int) -> Fraction:
-    """q-th derivative of F_n at x = 1, by formal differentiation."""
+    """q-th derivative of F_n at x = 1, by formal differentiation, once per (q, n).
+
+    The derivative sums of ``identities`` read each value for every degree j
+    of the expansions that contain F_n.
+    """
     if q < 0 or n < 0:
         raise ValueError(f"q and n must be >= 0, got q={q}, n={n}")
     return fibonacci_poly(n).derivative(q)(Fraction(1))

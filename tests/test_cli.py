@@ -79,6 +79,11 @@ class TestTable:
         assert code == 2
         assert "jmax" in err
 
+    def test_negative_cap_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--direction", "f-in-t", "--jmax", "0", "--cap", "-5")
+        assert (code, out) == (2, "")
+        assert err == "error: safety cap must be nonnegative, got -5\n"
+
     def test_bad_direction_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "table", "--direction", "nope", "--jmax", "3")
@@ -173,6 +178,37 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "qmax 501 exceeds safety cap 500" in err
+
+    def test_negative_cap_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemma", "--jmax", "0", "--cap", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: safety cap must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_raising_task_is_a_fail_report(self, capsys, monkeypatch, workers):
+        # a pool forks after the patch, so its workers run the raising entry too
+        verify_chain = runner.FAMILIES["chain"]
+
+        def chain_raising_at_three(j):
+            if j == 3:
+                raise ZeroDivisionError("injected")
+            return verify_chain(j)
+
+        monkeypatch.setitem(runner.FAMILIES, "chain", chain_raising_at_three)
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "chain", "--jmax", "6", "--workers", workers, "--format", "json"
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["counts"] == {"Pass": 2, "PaperErratum": 4, "Fail": 1, "Unevaluable": 0}
+        failed = [rec for rec in report["records"] if rec["status"] == "Fail"]
+        assert failed == [
+            {"identity": "chain", "params": {"j": "3"}, "status": "Fail", "error": "ZeroDivisionError: injected"}
+        ]
+        # the error shows in the text report too, and no report without one carries the field
+        assert all("error" not in rec for rec in report["records"] if rec["status"] != "Fail")
+        _, text, _ = run_cli(capsys, "verify", "--suite", "chain", "--jmax", "6", "--workers", workers)
+        assert "  chain(j=3): Fail error=ZeroDivisionError: injected" in text.splitlines()
 
     @pytest.mark.parametrize(
         "workers, cpus, expected",

@@ -24,6 +24,11 @@ GOLDEN = {
     "verify_trig_j36.json": (["verify", "--suite", "trig", "--jmax", "36", "--format", "json"], 1),
     "verify_all_j30_q5.json.sha256": (
         ["verify", "--suite", "all", "--jmax", "30", "--qmax", "5", "--format", "json"], 0),
+    # the two suites whose sums run on cached basis values
+    "verify_cor52_j36_q5.json.sha256": (
+        ["verify", "--suite", "cor52", "--jmax", "36", "--qmax", "5", "--format", "json"], 0),
+    "verify_complex_j36.json.sha256": (
+        ["verify", "--suite", "complex", "--jmax", "36", "--format", "json"], 0),
     # the only CLI output whose quadrature takes the 2^-e scaling path (e > 0)
     "integrate_ft_1500_0.txt": (["integrate", "--kind", "ft", "--j", "1500", "--k", "0"], 0),
     **{

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibcheb import (
     Status,
@@ -19,6 +21,61 @@ from fibcheb import (
     verify_laurent_identity,
     verify_trig_identity,
 )
+from fibcheb.connection import Direction, terms
+from fibcheb.identities import (
+    HALF_I,
+    MINUS_TWO_I,
+    _expansion_at,
+    _fibonacci_at,
+    _t_deriv_at_1,
+    _u_deriv_at_1,
+)
+from fibcheb.scalars import GaussianRational
+from fibcheb.sequences import Basis, cheb_deriv_at_1, fibonacci_poly
+
+big_ints = st.integers(min_value=-(10**30), max_value=10**30)
+fractions = st.fractions(max_denominator=10**9)
+gaussians = st.builds(GaussianRational, fractions, fractions)
+# all values of one kind, or a mix of the three
+value_kinds = st.sampled_from([big_ints, fractions, gaussians, st.one_of(big_ints, fractions, gaussians)])
+
+
+class TestExpansionAt:
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_equals_plain_sum(self, data):
+        direction = data.draw(st.sampled_from(list(Direction)))
+        j = data.draw(st.integers(min_value=direction.min_index, max_value=40))
+        values = data.draw(st.lists(data.draw(value_kinds), min_size=j + 2, max_size=j + 2))
+        expansion = terms(j, direction)
+        plain = sum((c * values[n] for _, n, c in expansion), Fraction(0))
+        got = _expansion_at(j, direction, values.__getitem__)
+        assert got == plain
+        gaussian = any(isinstance(values[n], GaussianRational) for _, n, _ in expansion)
+        assert type(got) is (GaussianRational if gaussian else Fraction)
+
+
+class TestCachedBasisValues:
+    @given(st.lists(st.tuples(st.integers(1, 7), st.integers(0, 60)), min_size=1, max_size=20))
+    def test_derivative_values_equal_their_closed_forms(self, pairs):
+        for cached in (_t_deriv_at_1, _u_deriv_at_1):
+            cached.cache_clear()
+        for _ in range(2):  # from an empty cache, then from a full one
+            for q, n in pairs:
+                assert _t_deriv_at_1(q, n) == _t_deriv_at_1.__wrapped__(q, n)
+                assert _t_deriv_at_1(q, n) == cheb_deriv_at_1(Basis.CHEBYSHEV_T, q, n)
+                for fix in (False, True):
+                    value = _u_deriv_at_1(q, n, include_missing_factor=fix)
+                    assert value == _u_deriv_at_1.__wrapped__(q, n, include_missing_factor=fix)
+                corrected = _u_deriv_at_1(q, n, include_missing_factor=True)
+                assert corrected == cheb_deriv_at_1(Basis.CHEBYSHEV_U, q, n)
+
+    @given(st.lists(st.tuples(st.integers(0, 60), st.sampled_from([HALF_I, MINUS_TWO_I])), min_size=1))
+    def test_gaussian_fibonacci_values_equal_the_polynomial_values(self, pairs):
+        _fibonacci_at.cache_clear()
+        for _ in range(2):
+            for k, point in pairs:
+                assert _fibonacci_at(k, point) == fibonacci_poly(k)(point)
 
 
 class TestWeightedSumFirstKind:

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic, combinatorial helpers, Gaussian rationals."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from fibcheb import (
     pochhammer,
     sqrt_pi_over_gamma,
 )
-from fibcheb.scalars import I, double_factorial
+from fibcheb.scalars import I, double_factorial, lattice_parts
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -152,3 +153,17 @@ class TestGaussianRational:
         z = GaussianRational(1, 1)
         with pytest.raises(AttributeError):
             z.re = Fraction(2)
+
+
+class TestLatticeParts:
+    @given(st.one_of(st.integers(min_value=-10**20, max_value=10**20), rationals))
+    def test_rational_value(self, value):
+        p, r, q = lattice_parts(value)
+        assert (r, Fraction(p, q)) == (0, value)
+        assert q == Fraction(value).denominator
+
+    @given(rationals, rationals)
+    def test_gaussian_value_over_the_lcm_of_its_denominators(self, re, im):
+        p, r, q = lattice_parts(GaussianRational(re, im))
+        assert (Fraction(p, q), Fraction(r, q)) == (re, im)
+        assert q == math.lcm(re.denominator, im.denominator)

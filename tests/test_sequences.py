@@ -1,9 +1,12 @@
 """Polynomial families: recurrences vs power forms, special values, derivatives."""
 
+import math
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fibcheb import (
     Basis,
@@ -111,6 +114,17 @@ class TestDerivativeValues:
         assert cheb_deriv_at_1(Basis.CHEBYSHEV_T, 2, 3) == 24
         assert cheb_deriv_at_1(Basis.CHEBYSHEV_U, 1, 2) == 8
         assert cheb_deriv_at_1(Basis.CHEBYSHEV_T, 1, 0) == 0
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 60)), min_size=1, max_size=30))
+    def test_cached_fibonacci_value_is_formal_differentiation(self, pairs):
+        # in any order after an empty cache, and again when every pair hits it
+        fibonacci_deriv_at_1.cache_clear()
+        for _ in range(2):
+            for q, n in pairs:
+                coeffs = fibonacci_poly_power_form(n).coeffs
+                formal = sum(math.perm(i, q) * c for i, c in enumerate(coeffs))
+                assert fibonacci_deriv_at_1(q, n) == formal, (q, n)
+        assert fibonacci_deriv_at_1.cache_info().currsize == len(set(pairs))
 
     def test_closed_form_matches_differentiation(self):
         for q in range(1, 7):
