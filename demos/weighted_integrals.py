@@ -9,6 +9,7 @@ exactly at k = 0, which the audit reports instead of repairing silently.
 """
 
 from fibcheb import (
+    Basis,
     Weight,
     chebyshev_t,
     fibonacci_poly,
@@ -25,7 +26,7 @@ print("----------------------------")
 p = fibonacci_poly(7) * chebyshev_t(4)
 moments = weighted_integral(p, Weight.FIRST_KIND)
 expansion = weighted_integral_by_expansion(p, Weight.FIRST_KIND)
-quadrature = quadrature_check(p, Weight.FIRST_KIND, nodes=6)
+quadrature = quadrature_check(((Basis.FIBONACCI, 7), (Basis.CHEBYSHEV_T, 4)), Weight.FIRST_KIND)
 print("integrand F_7 * T_4, first-kind weight")
 print(f"  monomial moments:    {moments.to_text()}")
 print(f"  basis expansion:     {expansion.to_text()}")

@@ -1,8 +1,8 @@
 """Command-line interface: connection tables, identity sweeps, integrals.
 
 Exit codes: 0 when no check failed, 1 when any verification failed, 2 for an
-invalid invocation.  PaperErratum records (printed form wrong, corrected form
-exact) do not affect the exit code; they are findings, not failures.
+invalid invocation or a killed pool worker.  PaperErratum records (printed form
+wrong, corrected form exact) do not affect the exit code: findings, not failures.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from . import integrals, runner
@@ -104,10 +105,10 @@ def _cmd_verify(args) -> int:
             safety_cap=args.cap,
         )
         config.validate()
-    except ValueError as exc:
+        reports = runner.run_sweep(config)
+    except (ValueError, BrokenProcessPool) as exc:  # BrokenProcessPool: a worker was killed, by the OS say
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports = runner.run_sweep(config)
     summary = runner.summarize(config, reports)
     if args.output_format == "json":
         sys.stdout.write(runner.render_json(summary))

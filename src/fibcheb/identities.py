@@ -202,6 +202,9 @@ def _fibonacci_at(k: int, point: GaussianRational) -> GaussianRational:
     return fibonacci_poly(k)(point)
 
 
+_I_POWERS = (GaussianRational(1), I, GaussianRational(-1), -I)  # i^n by n mod 4; (-i)^n = i^(-n)
+
+
 def verify_complex_identities(n: int) -> Report:
     """Exact Gaussian checks of the four complex-argument identities.
 
@@ -221,10 +224,10 @@ def verify_complex_identities(n: int) -> Report:
     sum_minus_two_i = 2 * _expansion_at(n, Direction.U_IN_F, partial(_fibonacci_at, point=MINUS_TWO_I))
 
     checks = [
-        Check("eq-complex-1", u_at_half_i / I**n, GaussianRational(fib_next)),
-        Check("eq-complex-2", u_at_minus_two_i, (-I) ** n * Fraction(1, 2) * fib_triple),
-        Check("cor-complex-1", sum_half_i, I**n * fib_next),
-        Check("cor-complex-2", sum_minus_two_i, (-I) ** n * fib_triple),
+        Check("eq-complex-1", u_at_half_i / _I_POWERS[n % 4], GaussianRational(fib_next)),
+        Check("eq-complex-2", u_at_minus_two_i, _I_POWERS[-n % 4] * Fraction(1, 2) * fib_triple),
+        Check("cor-complex-1", sum_half_i, _I_POWERS[n % 4] * fib_next),
+        Check("cor-complex-2", sum_minus_two_i, _I_POWERS[-n % 4] * fib_triple),
     ]
     return make_report("complex", {"n": n}, checks)
 
@@ -232,6 +235,12 @@ def verify_complex_identities(n: int) -> Report:
 # ---------------------------------------------------------------------------
 # Laurent-point and trigonometric forms of the first-kind expansion
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _laurent_at(n: int, x0: Fraction) -> Fraction:
+    """(x0^n + x0^-n) / 2, T_n at (x0 + 1/x0)/2, computed once per (n, x0) for the sums of every j."""
+    return (x0**n + x0**-n) / 2
 
 
 def verify_laurent_identity(j: int, x0: Fraction) -> Report:
@@ -245,7 +254,7 @@ def verify_laurent_identity(j: int, x0: Fraction) -> Report:
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     lhs = fibonacci_poly(j + 1)((x0 + 1 / x0) / 2)
-    rhs = _expansion_at(j, Direction.F_IN_T, lambda n: (x0**n + x0**-n) / 2)
+    rhs = _expansion_at(j, Direction.F_IN_T, partial(_laurent_at, x0=x0))
     return make_report("laurent", {"j": j, "x0": x0}, [Check("point-value", lhs, rhs)])
 
 

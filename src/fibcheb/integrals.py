@@ -3,10 +3,10 @@
 Every closed-form integral here is a rational multiple of pi, kept symbolic
 as a PiMultiple so comparisons stay exact.  Values are produced by two fully
 independent exact routes (closed monomial moments, and expansion in the
-matching Chebyshev basis followed by orthogonality) plus a floating-point
-Gauss-Chebyshev quadrature as a third, non-exact cross-check.  The published
-closed forms are evaluated alongside and compared against the oracle value,
-which is always the one returned.
+matching Chebyshev basis followed by orthogonality) plus a Gauss-Chebyshev
+quadrature on the factors' own float recurrences as a third, non-exact check.
+The published closed forms are evaluated alongside and compared against the
+oracle value, which is always the one returned.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .hypergeometric import hyp2f1
 from .polynomials import Polynomial
 from .report import Check, Report, Status, make_report
 from .scalars import RationalLike, binomial, double_factorial, format_rational
-from .sequences import Basis, c_norm, chebyshev_t, chebyshev_u, fibonacci_poly
+from .sequences import Basis, c_norm
 
 
 class Weight(Enum):
@@ -144,8 +144,8 @@ def quadrature_nodes(weight: Weight, count: int) -> list[tuple[float, float]]:
 
     Each x > 0 stands for the pair +-x, both of weight w; for odd ``count``
     the last entry is the midpoint, exactly 0.0.  So the rule is exactly
-    symmetric (odd integrands give exactly 0), and ``Polynomial.eval_dyadic``
-    values both nodes of a pair in one pass.
+    symmetric: a product of parity s is (-1)^s v at -x where it is v at x,
+    and odd integrands give exactly 0.
     """
     if count < 1:
         raise ValueError(f"node count must be >= 1, got {count}")
@@ -161,40 +161,55 @@ def quadrature_nodes(weight: Weight, count: int) -> list[tuple[float, float]]:
     return nodes
 
 
-def _node_values(p: Polynomial, weight: Weight, count: int) -> list[tuple[float, int, int]]:
-    """(w, n, d) for each node of the full count-node rule, n / d the exact value of p there."""
-    values = []
-    for x, w in quadrature_nodes(weight, count):
-        a, b, d = p.eval_dyadic(x)
-        values.append((w, a, d))
-        if x:  # the midpoint is its own mirror
-            values.append((w, b, d))
-    return values
+Factor = tuple[Basis, int]
 
 
-def quadrature_check(p: Polynomial, weight: Weight, nodes: int) -> float:
-    """Gauss-Chebyshev quadrature of the matching kind.
+def _member_at_nodes(basis: Basis, index: int, xs: list[float]) -> tuple[list[float], int]:
+    """(values, e): member ``index`` of ``basis`` at floats xs (descending, >= 0) by its recurrence is values * 2^e.
 
-    Exact (up to rounding) for polynomial degree <= 2 * nodes - 1; an
-    insufficient node count is rejected rather than silently inaccurate.
-    Node values are computed exactly and rounded once, so the check measures
-    the quadrature rule itself rather than monomial-form evaluation noise
-    (high-degree Chebyshev factors have catastrophically cancelling monomial
-    coefficients in plain double precision).
+    F_n, of nonnegative coefficients, is largest at xs[0]; whenever that
+    passes 2^500 all values are scaled by 2^-500, so a product of two stays in
+    the float range.  |T_n|, |U_n| <= n + 1; P_{n+1} = 2x P_n - P_{n-1} runs on
+    differences (Reinsch), P_{n+1} - P_n = P_n - P_{n-1} + 2(x - 1) P_n, whose
+    rounding error near x = 1 grows about like n, not n^2 / sin t.
     """
-    needed = (p.degree + 2) // 2
-    if nodes < max(needed, 1):
-        raise ValueError(
-            f"need at least {max(needed, 1)} nodes for degree {p.degree}, got {nodes}"
-        )
-    return math.fsum(w * (n / d) for w, n, d in _node_values(p, weight, nodes))
+    if basis is Basis.FIBONACCI:
+        prev, cur, e = [1.0] * len(xs), [0.0] * len(xs), 0  # F_{-1}, F_0
+        for _ in range(index):
+            prev, cur = cur, [x * a + b for x, a, b in zip(xs, cur, prev)]
+            if cur[0] > 2.0**500:
+                prev, cur, e = [v * 2.0**-500 for v in prev], [v * 2.0**-500 for v in cur], e + 500
+        return cur, e
+    cur, steps = [1.0] * len(xs), [2 * (x - 1) for x in xs]
+    diff = [1 - x for x in xs] if basis is Basis.CHEBYSHEV_T else cur  # P_0 - P_{-1}
+    for _ in range(index):
+        diff = [d + c * a for d, c, a in zip(diff, steps, cur)]
+        cur = [a + d for a, d in zip(cur, diff)]
+    return cur, 0
+
+
+def _quadrature_terms(factors: tuple[Factor, Factor], weight: Weight) -> tuple[list[float], int]:
+    """(terms, e): the terms w p(x) of the least exact rule for p, the product of ``factors``, over 2^e."""
+    degree = sum(index - basis.shift for basis, index in factors)
+    nodes = quadrature_nodes(weight, max((degree + 2) // 2, 1))
+    xs = [x for x, _ in nodes]
+    (first, e), (second, f) = (_member_at_nodes(basis, index, xs) for basis, index in factors)
+    half = [w * (u * v) for (_, w), u, v in zip(nodes, first, second)]
+    sign = -1.0 if degree % 2 else 1.0  # p(-x) = sign p(x); the midpoint x = 0 counts once
+    return half + [sign * t for (x, _), t in zip(nodes, half) if x], e + f
+
+
+def quadrature_check(factors: tuple[Factor, Factor], weight: Weight) -> float:
+    """Gauss-Chebyshev quadrature of the matching kind of the product of two (basis, index) factors."""
+    terms, e = _quadrature_terms(factors, weight)
+    return math.ldexp(math.fsum(terms), e)
 
 
 QUADRATURE_REL_TOL = 1e-9
 
 
-def quadrature_deviation(p: Polynomial, weight: Weight, exact: PiMultiple | None = None) -> float:
-    """Relative deviation between the quadrature and the exact integral.
+def quadrature_deviation(factors: tuple[Factor, Factor], weight: Weight, exact: PiMultiple) -> float:
+    """Relative deviation between the quadrature of the product of ``factors`` and ``exact``.
 
     Normalized by the mass the rule actually sums, max(1, sum |w p(x)|): the
     backward-stable notion of quadrature accuracy.  A tiny integral of a
@@ -203,25 +218,13 @@ def quadrature_deviation(p: Polynomial, weight: Weight, exact: PiMultiple | None
     absolute error in double precision, because the cos-node placement is
     itself only half-ulp accurate; relative to the summed mass the rule is
     accurate to near machine precision, and that is what this measures.
-
-    The node values and the integral are exact ratios of integers until they
-    are rounded.  Before rounding they are all scaled by one power of two
-    2^-e, the least that keeps the mass inside the float range; e is 0 for
-    every integrand whose values are floats, and a larger e leaves the ratio
-    unchanged, because the mass then exceeds 1.
+    The terms, the mass and the integral all carry the factors' scale 2^-e,
+    and max(2^-e, scaled mass) = max(1, mass) / 2^e keeps the ratio unscaled.
     """
-    if exact is None:
-        exact = weighted_integral(p, weight)
-    nodes = _node_values(p, weight, max((p.degree + 2) // 2, 1))
-    integral = exact.coefficient.as_integer_ratio()
-    # |n/d| < 2^(bits(n) - bits(d) + 1); w < 4 and the sums add bits(len) more.
-    top = max(n.bit_length() - d.bit_length() for _, n, d in nodes + [(0.0, *integral)])
-    e = max(0, top + len(nodes).bit_length() + 4 - 1024)
-    values = [(w, n / (d << e)) for w, n, d in nodes]
-    approx = math.fsum(w * v for w, v in values)
-    mass = math.fsum(abs(w * v) for w, v in values)
-    target = integral[0] / (integral[1] << e) * math.pi
-    return abs(approx - target) / max(1.0, mass)
+    terms, e = _quadrature_terms(factors, weight)
+    num, den = exact.coefficient.as_integer_ratio()
+    error = abs(math.fsum(terms) - num / (den << e) * math.pi)
+    return error / max(math.ldexp(1.0, -e), math.fsum(map(abs, terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +291,16 @@ def printed_fib_fib_first(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_checks(p: Polynomial, weight: Weight) -> tuple[PiMultiple, list[Check], str]:
+def _oracle_checks(j: int, k: int, basis: Basis, weight: Weight) -> tuple[PiMultiple, list[Check], str]:
+    """The integral of F_{j+1} times T_k, U_k or F_{k+1}, by ``basis``: value, exact checks, quadrature note."""
+    if j < k or k < 0:
+        raise ValueError(f"requires j >= k >= 0, got j={j}, k={k}")
+    factors = ((Basis.FIBONACCI, j + 1), (basis, k + basis.shift))
+    p = Basis.FIBONACCI.member(j + 1) * basis.member(k + basis.shift)
     by_moments = weighted_integral(p, weight)
     by_expansion = weighted_integral_by_expansion(p, weight)
     checks = [Check("moments-vs-expansion", by_moments, by_expansion)]
-    rel = quadrature_deviation(p, weight, by_moments)
+    rel = quadrature_deviation(factors, weight, by_moments)
     note = f"quadrature rel err {rel!r}"
     if not rel <= QUADRATURE_REL_TOL:
         checks.append(Check("quadrature-within-tolerance", rel, 0.0))
@@ -306,9 +314,7 @@ def integral_fib_cheb_t(j: int, k: int) -> tuple[PiMultiple, Report]:
     divides by c_k once too often); that case is reported as a PaperErratum
     with both residuals, everything else must match verbatim.
     """
-    if j < k or k < 0:
-        raise ValueError(f"requires j >= k >= 0, got j={j}, k={k}")
-    value, checks, note = _oracle_checks(fibonacci_poly(j + 1) * chebyshev_t(k), Weight.FIRST_KIND)
+    value, checks, note = _oracle_checks(j, k, Basis.CHEBYSHEV_T, Weight.FIRST_KIND)
     printed = printed_fib_cheb_t(j, k)
     corrected = printed * c_norm(k)
     if printed != value:
@@ -326,9 +332,7 @@ def integral_fib_cheb_t(j: int, k: int) -> tuple[PiMultiple, Report]:
 
 def integral_fib_cheb_u(j: int, k: int) -> tuple[PiMultiple, Report]:
     """Second-kind weighted integral of F_{j+1} U_k; printed form is exact."""
-    if j < k or k < 0:
-        raise ValueError(f"requires j >= k >= 0, got j={j}, k={k}")
-    value, checks, note = _oracle_checks(fibonacci_poly(j + 1) * chebyshev_u(k), Weight.SECOND_KIND)
+    value, checks, note = _oracle_checks(j, k, Basis.CHEBYSHEV_U, Weight.SECOND_KIND)
     printed = printed_fib_cheb_u(j, k)
     checks.append(Check("printed-vs-oracle", printed, value))
     report = make_report("int-FU", {"j": j, "k": k}, checks, note=note)
@@ -350,10 +354,7 @@ def integral_fib_fib(
     interpretation for it; otherwise the comparison is Unevaluable.  The
     oracle value is returned in every case.
     """
-    if j < k or k < 0:
-        raise ValueError(f"requires j >= k >= 0, got j={j}, k={k}")
-    p = fibonacci_poly(j + 1) * fibonacci_poly(k + 1)
-    value, checks, note = _oracle_checks(p, weight)
+    value, checks, note = _oracle_checks(j, k, Basis.FIBONACCI, weight)
 
     if weight is Weight.SECOND_KIND:
         identity = "int-FF2"

@@ -186,35 +186,22 @@ class Polynomial:
             return GaussianRational(value, Fraction(acc_im, den))
         return value
 
-    def eval_dyadic(self, x: float) -> tuple[int, int, int]:
-        """The exact values at the float points x and -x as unreduced ratios a / d and b / d.
-
-        A float is a dyadic rational p / 2^s.  One integer Horner pass in p^2
-        sums the even and the odd terms nums[i] p^i 2^(s(degree - i)) into E
-        and O; then a = E + O and b = E - O, over d = den 2^(s degree).
-        """
-        nums, den = self.integer_form()
-        if not nums:
-            return 0, 0, 1
-        p, q = x.as_integer_ratio()
-        s = q.bit_length() - 1  # float denominators are powers of 2
-        degree = len(nums) - 1
-        square, parts = p * p, [0, 0]  # the even sum E, and the odd sum O over p
-        for i in range(degree, -1, -1):
-            parts[i & 1] = parts[i & 1] * square + (nums[i] << (s * (degree - i)))
-        even, odd = parts[0], parts[1] * p
-        return even + odd, even - odd, den << (s * degree)
-
     def eval_float_exact(self, x: float) -> float:
         """Value at the float point ``x``, exactly computed and rounded once.
 
-        The exact value comes from ``eval_dyadic``; one correctly rounded
-        integer division turns it into a float.  This is immune to
-        cancellation between large monomial coefficients, and it is exactly
-        odd/even symmetric in x.
+        With x = p / 2^s, one integer Horner pass sums nums[i] p^i
+        2^(s(degree - i)), and one correctly rounded division by den
+        2^(s degree) makes it a float: immune to cancellation between large
+        monomial coefficients, and exactly odd/even symmetric in x.
         """
-        num, _, den = self.eval_dyadic(x)
-        return num / den
+        nums, den = self.integer_form()
+        p, q = x.as_integer_ratio()
+        s = q.bit_length() - 1  # float denominators are powers of 2
+        acc, shift = 0, 0
+        for n in reversed(nums or (0,)):  # the zero polynomial as one zero term
+            acc = acc * p + (n << shift)
+            shift += s
+        return acc / (den << (shift - s))
 
     # -- comparison / display --------------------------------------------------
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,29 @@ class TestVerify:
         assert sizes == [expected]
         serial = runner.run_sweep(runner.RunConfig(suite="lemma", jmax=6, workers=1))
         assert reports == serial
+
+    def test_broken_pool_is_a_clean_error(self, capsys, monkeypatch):
+        # a fake pool raises as a real one does when the OS kills a worker;
+        # no process is started
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemma", "--jmax", "6", "--workers", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: A process in the process pool was terminated abruptly\n"
 
     def test_worker_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("FIBCHEB_WORKERS", "2")

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibcheb import (
+    Basis,
     PiMultiple,
     Polynomial,
     Status,
@@ -24,7 +25,8 @@ from fibcheb import (
     weighted_integral,
     weighted_integral_by_expansion,
 )
-from fibcheb.integrals import QUADRATURE_REL_TOL
+from fibcheb import integrals
+from fibcheb.integrals import QUADRATURE_REL_TOL, _member_at_nodes, quadrature_nodes
 
 rational_polys = st.lists(
     st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12), max_size=25
@@ -138,45 +140,87 @@ class TestOrthogonalityRegression:
                 assert value == (PiMultiple(Fraction(1, 2)) if n == m else PiMultiple(0))
 
 
+def product(factors):
+    first, second = (basis.member(index) for basis, index in factors)
+    return first * second
+
+
+F, T, U = Basis.FIBONACCI, Basis.CHEBYSHEV_T, Basis.CHEBYSHEV_U
+
+
 class TestQuadrature:
     def test_known_values(self):
-        assert quadrature_check(Polynomial((1, 0, 1)), Weight.FIRST_KIND, 4) == pytest.approx(
+        # F_1 T_0 = 1, F_3 T_0 = 1 + x^2, F_3^2 = 1 + 2x^2 + x^4
+        assert quadrature_check(((F, 1), (T, 0)), Weight.FIRST_KIND) == pytest.approx(math.pi)
+        assert quadrature_check(((F, 3), (T, 0)), Weight.FIRST_KIND) == pytest.approx(
             4.712388980384690, abs=1e-12
         )
-        assert quadrature_check(Polynomial((1,)), Weight.FIRST_KIND, 1) == pytest.approx(math.pi)
-        assert quadrature_check(
-            Polynomial((0, 0, 0, 0, 1)), Weight.SECOND_KIND, 4
-        ) == pytest.approx(math.pi / 16, abs=1e-14)
+        assert quadrature_check(((F, 3), (F, 3)), Weight.SECOND_KIND) == pytest.approx(
+            13 * math.pi / 16, abs=1e-14
+        )
 
-    @given(rational_polys, st.sampled_from(list(Weight)), st.integers(min_value=0, max_value=3))
-    def test_matches_the_full_rule_bit_for_bit(self, p, weight, extra):
-        count = max((p.degree + 2) // 2, 1) + extra
-        assert quadrature_check(p, weight, count) == reference_quadrature(p, weight, count)
-
-    def test_rejects_insufficient_nodes(self):
-        with pytest.raises(ValueError):
-            quadrature_check(Polynomial((1, 0, 1)), Weight.FIRST_KIND, 1)
+    @given(
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=0, max_value=60),
+        st.sampled_from(list(Basis)),
+        st.sampled_from(list(Weight)),
+    )
+    def test_agrees_with_the_moment_integral(self, j, k, basis, weight):
+        # the least exact rule: the node values' rounding is all that separates
+        # the rule from the integral, and from the full rule valued exactly
+        factors = ((F, j + 1), (basis, k))
+        p = product(factors)
+        value = quadrature_check(factors, weight)
+        scale = max(1.0, math.pi * float(F.member(j + 1)(1)) * float(basis.member(k)(1)))
+        assert abs(value - float(weighted_integral(p, weight))) <= 1e-12 * scale
+        count = max((p.degree + 2) // 2, 1)
+        assert abs(value - reference_quadrature(p, weight, count)) <= 1e-12 * scale
 
     def test_odd_integrand_is_exactly_zero(self):
-        p = fibonacci_poly(8)  # odd parity, large coefficients
-        assert quadrature_check(p, Weight.FIRST_KIND, 8) == 0.0
-        assert quadrature_check(p, Weight.SECOND_KIND, 8) == 0.0
+        # odd parity, large coefficients: F_8 alone, and odd products of each kind
+        for factors in (((F, 8), (T, 0)), ((F, 8), (T, 4)), ((F, 21), (U, 11)), ((F, 30), (F, 31))):
+            for weight in Weight:
+                assert quadrature_check(factors, weight) == 0.0
 
     def test_deviation_small_on_products(self):
         for j, k in ((10, 5), (20, 13), (30, 30)):
-            p = fibonacci_poly(j + 1) * chebyshev_t(k)
-            assert quadrature_deviation(p, Weight.FIRST_KIND) <= 1e-9
-            q = fibonacci_poly(j + 1) * chebyshev_u(k)
-            assert quadrature_deviation(q, Weight.SECOND_KIND) <= 1e-9
+            for factors, weight in ((((F, j + 1), (T, k)), Weight.FIRST_KIND),
+                                    (((F, j + 1), (U, k)), Weight.SECOND_KIND)):
+                exact = weighted_integral(product(factors), weight)
+                assert quadrature_deviation(factors, weight, exact) <= 1e-9
 
     def test_deviation_past_the_float_range(self):
-        # values near 2^1100 overflow a float; the common 2^-e scaling keeps
-        # the ratio, exactly, since the unscaled mass is already above 1
-        p = fibonacci_poly(21) * chebyshev_t(10)
-        for weight in Weight:
-            rel = quadrature_deviation(p * 2**1100, weight)
-            assert math.isfinite(rel) and rel <= QUADRATURE_REL_TOL
-            assert rel == quadrature_deviation(p, weight)
+        # F_1501(1) is about 2^1040 and F_800(1)^2 about 2^1110: the values, the
+        # mass and the integrals all pass the float range, and the common 2^-e
+        # scaling of the factors keeps every float finite
+        for factors in (((F, 1501), (T, 0)), ((F, 800), (F, 800))):
+            p = product(factors)
+            for weight in Weight:
+                exact = weighted_integral(p, weight)
+                assert abs(exact.coefficient) > 2**1024
+                rel = quadrature_deviation(factors, weight, exact)
+                assert math.isfinite(rel) and rel <= QUADRATURE_REL_TOL
+
+    def test_scaling_keeps_the_unscaled_ratio(self, monkeypatch):
+        # each factor 2^-10 * 2^500 at the one node (x = 0, w = pi): the scaled
+        # mass pi 2^-20 is below 1, the unscaled one pi 2^980 above it
+        monkeypatch.setattr(integrals, "_member_at_nodes", lambda basis, index, xs: ([2.0**-10] * len(xs), 500))
+        factors = ((F, 1), (T, 0))
+        assert quadrature_check(factors, Weight.FIRST_KIND) == math.pi * 2.0**980
+        # |pi 2^980 - pi 2^979| / max(1, pi 2^980)
+        assert quadrature_deviation(factors, Weight.FIRST_KIND, PiMultiple(2**979)) == 0.5
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_member_values_match_the_rounded_exact_values(self, basis):
+        # every node of the least exact rules for degree 300, both kinds
+        xs = sorted({x for weight in Weight for x, _ in quadrature_nodes(weight, 151)}, reverse=True)
+        for index in (*range(0, 300, 13), 300):
+            member = basis.member(index)
+            exact = [member.eval_float_exact(x) for x in xs]
+            values, e = _member_at_nodes(basis, index, xs)
+            assert e == 0  # F_301(1) is about 2^208, below the scaling threshold
+            largest = max(map(abs, exact))
+            assert all(abs(math.ldexp(v, e) - w) <= 1e-12 * largest for v, w in zip(values, exact))
 
 
 class TestFibonacciChebyshevFirstKind:

@@ -84,9 +84,6 @@ class TestIntegerLatticeAgainstFractions:
     def test_eval_float_exact(self, p, x):
         exact = naive_value(p, Fraction(x))
         assert p.eval_float_exact(x) == float(exact)
-        at_x, at_minus_x, den = p.eval_dyadic(x)
-        assert Fraction(at_x, den) == exact
-        assert Fraction(at_minus_x, den) == naive_value(p, -Fraction(x))
 
     @given(fractional_polys, fractional_polys)
     def test_integer_form_uses_the_least_common_denominator(self, p, q):
