@@ -2,10 +2,11 @@
 
 Every integral of a polynomial against either Chebyshev weight is a rational
 multiple of pi.  Three independent routes compute it here: closed monomial
-moments, expansion in the matching Chebyshev basis plus orthogonality, and a
-floating-point Gauss-Chebyshev rule.  The published closed forms are audited
-against the exact value; the first-kind F x T form is off by a factor of two
-exactly at k = 0, which the audit reports instead of repairing silently.
+moments of the product, expansion of each factor in the matching Chebyshev
+basis plus orthogonality, and a floating-point Gauss-Chebyshev rule on the
+factors.  The published closed forms are audited against the exact value;
+the first-kind F x T form is off by a factor of two exactly at k = 0, which
+the audit reports instead of repairing silently.
 """
 
 from fibcheb import (
@@ -23,10 +24,10 @@ from fibcheb import (
 
 print("Three routes to one integral")
 print("----------------------------")
-p = fibonacci_poly(7) * chebyshev_t(4)
-moments = weighted_integral(p, Weight.FIRST_KIND)
-expansion = weighted_integral_by_expansion(p, Weight.FIRST_KIND)
-quadrature = quadrature_check(((Basis.FIBONACCI, 7), (Basis.CHEBYSHEV_T, 4)), Weight.FIRST_KIND)
+factors = ((Basis.FIBONACCI, 7), (Basis.CHEBYSHEV_T, 4))
+moments = weighted_integral(fibonacci_poly(7) * chebyshev_t(4), Weight.FIRST_KIND)
+expansion = weighted_integral_by_expansion(factors, Weight.FIRST_KIND)
+quadrature = quadrature_check(factors, Weight.FIRST_KIND)
 print("integrand F_7 * T_4, first-kind weight")
 print(f"  monomial moments:    {moments.to_text()}")
 print(f"  basis expansion:     {expansion.to_text()}")

@@ -1,12 +1,12 @@
 """Weighted integrals over (-1, 1) against the two Chebyshev weights.
 
 Every closed-form integral here is a rational multiple of pi, kept symbolic
-as a PiMultiple so comparisons stay exact.  Values are produced by two fully
-independent exact routes (closed monomial moments, and expansion in the
-matching Chebyshev basis followed by orthogonality) plus a Gauss-Chebyshev
-quadrature on the factors' own float recurrences as a third, non-exact check.
-The published closed forms are evaluated alongside and compared against the
-oracle value, which is always the one returned.
+as a PiMultiple so comparisons stay exact.  Two fully independent exact routes
+give the value (closed monomial moments of the product, and each factor's
+expansion in the matching Chebyshev basis followed by orthogonality), and a
+Gauss-Chebyshev quadrature on the factors' own float recurrences is a third,
+non-exact check.  The published closed forms are evaluated alongside and
+compared against the oracle value, which is always the one returned.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .connection import Direction, oracle_expand, terms
@@ -51,9 +52,6 @@ class PiMultiple:
             return NotImplemented
         return PiMultiple(self.coefficient - other.coefficient)
 
-    def __neg__(self) -> "PiMultiple":
-        return PiMultiple(-self.coefficient)
-
     def __mul__(self, scalar) -> "PiMultiple":
         if isinstance(scalar, (int, Fraction)):
             return PiMultiple(self.coefficient * scalar)
@@ -70,10 +68,6 @@ class PiMultiple:
 
     def __hash__(self):
         return hash(("pi-multiple", self.coefficient))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coefficient == 0
 
     def __float__(self) -> float:
         return float(self.coefficient) * math.pi
@@ -124,21 +118,6 @@ def weighted_integral(p: Polynomial, weight: Weight) -> PiMultiple:
     return PiMultiple(Fraction(acc, scale * den * (1 if first else 2)))
 
 
-def weighted_integral_by_expansion(p: Polynomial, weight: Weight) -> PiMultiple:
-    """Exact weighted integral via Chebyshev expansion and orthogonality.
-
-    Expanding in the basis matched to the weight, only the constant term
-    survives integration: its norm is pi for the first kind (c_0 = 2 halves
-    cancel) and pi/2 for the second.  Independent of the moment route.
-    """
-    if p.is_zero:
-        return ZERO_PI
-    first = weight is Weight.FIRST_KIND
-    # the last pair is the degree-0 (index 0) coefficient
-    _, constant = oracle_expand(p, Basis.CHEBYSHEV_T if first else Basis.CHEBYSHEV_U)[-1]
-    return PiMultiple(constant if first else constant / 2)
-
-
 def quadrature_nodes(weight: Weight, count: int) -> list[tuple[float, float]]:
     """The nonnegative half of the Gauss-Chebyshev rule: (x, w) pairs, x descending.
 
@@ -162,6 +141,29 @@ def quadrature_nodes(weight: Weight, count: int) -> list[tuple[float, float]]:
 
 
 Factor = tuple[Basis, int]
+
+
+@lru_cache(maxsize=None)
+def _expansion_over(factor: Factor, weight: Weight) -> dict[int, Fraction]:
+    """The nonzero coefficients of ``factor`` over T (first kind) or U (second kind), by elimination."""
+    basis, index = factor
+    target = Basis.CHEBYSHEV_T if weight is Weight.FIRST_KIND else Basis.CHEBYSHEV_U
+    return {n: c for n, c in oracle_expand(basis.member(index), target) if c}
+
+
+def weighted_integral_by_expansion(factors: tuple[Factor, Factor], weight: Weight) -> PiMultiple:
+    """Exact weighted integral of the product of two (basis, index) factors, by orthogonality.
+
+    With a_n, b_n the factors' coefficients over the basis matched to the
+    weight, the integral is (pi/2) sum a_n b_n, plus (pi/2) a_0 b_0 for the
+    first kind, whose T_0 has norm pi.  Independent of the moment route: no
+    product polynomial is built.
+    """
+    a, b = (_expansion_over(factor, weight) for factor in factors)
+    total = sum((c * b[n] for n, c in a.items() if n in b), Fraction(0))
+    if weight is Weight.FIRST_KIND:
+        total += a.get(0, 0) * b.get(0, 0)
+    return PiMultiple(total / 2)
 
 
 def _member_at_nodes(basis: Basis, index: int, xs: list[float]) -> tuple[list[float], int]:
@@ -264,26 +266,16 @@ def printed_fib_fib_second(j: int, k: int) -> PiMultiple:
     return PiMultiple(sum(ck * cj for (_, _, ck), (_, _, cj) in pairs) / 2)
 
 
-def printed_fib_fib_first(
-    j: int, k: int, d_m: Callable[[int], Fraction]
-) -> PiMultiple:
+def printed_fib_fib_first(j: int, k: int, d_m: Callable[[int], Fraction]) -> PiMultiple:
     """Published first-kind F x F closed form under a supplied reading of d_m.
 
     The factor named d_m in the published sum is never defined, so the form
     is only evaluable once the caller commits to an interpretation of it.
+    The published sum is half of sum_m d_m c(j, m) c(k, m) over the F-in-T
+    coefficients of both factors, paired by m, for m = 0 .. floor(k/2), k <= j.
     """
-    return PiMultiple(
-        Fraction(2) ** (1 - k - j)
-        * sum(
-            Fraction(2) ** (4 * m)
-            * d_m(m)
-            * Fraction(binomial(j - m, j - 2 * m) * binomial(k - m, k - 2 * m))
-            / (c_norm(k - 2 * m) * c_norm(j - 2 * m))
-            * hyp2f1(-m, k - m + 1, k - 2 * m + 1, Fraction(-1, 4))
-            * hyp2f1(-m, j - m + 1, j - 2 * m + 1, Fraction(-1, 4))
-            for m in range(k // 2 + 1)
-        )
-    )
+    pairs = zip(terms(k, Direction.F_IN_T), terms(j, Direction.F_IN_T))
+    return PiMultiple(sum(d_m(m) * ck * cj for (m, _, ck), (_, _, cj) in pairs) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +288,9 @@ def _oracle_checks(j: int, k: int, basis: Basis, weight: Weight) -> tuple[PiMult
     if j < k or k < 0:
         raise ValueError(f"requires j >= k >= 0, got j={j}, k={k}")
     factors = ((Basis.FIBONACCI, j + 1), (basis, k + basis.shift))
-    p = Basis.FIBONACCI.member(j + 1) * basis.member(k + basis.shift)
-    by_moments = weighted_integral(p, weight)
-    by_expansion = weighted_integral_by_expansion(p, weight)
+    first, second = (b.member(index) for b, index in factors)
+    by_moments = weighted_integral(first * second, weight)
+    by_expansion = weighted_integral_by_expansion(factors, weight)
     checks = [Check("moments-vs-expansion", by_moments, by_expansion)]
     rel = quadrature_deviation(factors, weight, by_moments)
     note = f"quadrature rel err {rel!r}"

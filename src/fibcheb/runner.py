@@ -62,9 +62,9 @@ def default_worker_count() -> int:
 # ---------------------------------------------------------------------------
 # The suite registry.  A task is a plain picklable tuple (family, *args):
 # SUITES maps each suite to its task grid over (jmax, qmax), in emission
-# order, and FAMILIES maps each task family to the verifier that runs it.
-# Entries look their verifier up when called, so a replaced module attribute
-# (a tracing wrapper, say) is honored.
+# order, and FAMILIES maps each family, the identity its verifier reports, to
+# that verifier, looked up when called, so a replaced module attribute (a
+# tracing wrapper, say) is honored.
 # ---------------------------------------------------------------------------
 
 Task = tuple
@@ -90,8 +90,8 @@ def _run_lemma(j: int, m: int) -> Report:
     return make_report("lemma", {"j": j, "m": m}, [Check("recurrence", holds, True)])
 
 
-def _run_connection(j: int, direction_value: str) -> Report:
-    direction = connection.Direction(direction_value)
+def _run_connection(j: int, direction: str) -> Report:
+    direction = connection.Direction(direction)
     expansion = connection.expand(j, direction)
     source = direction.source_polynomial(j)
     rebuilt = expansion.reconstruct()
@@ -122,15 +122,15 @@ INTEGRALS = {
 }
 
 FAMILIES = {
-    "cor51-T": lambda j: identities.verify_cor_sum_T(j),
-    "cor51-U": lambda j: identities.verify_cor_sum_U(j),
-    "cor51-fib": lambda j: identities.verify_fib_expressions(j),
-    "cor52": lambda j, q: identities.verify_derivative_corollaries(j, q),
+    "cor5.1-T": lambda j: identities.verify_cor_sum_T(j),
+    "cor5.1-U": lambda j: identities.verify_cor_sum_U(j),
+    "cor5.1-fib": lambda j: identities.verify_fib_expressions(j),
+    "cor5.2": lambda j, q: identities.verify_derivative_corollaries(j, q),
     "complex": lambda n: identities.verify_complex_identities(n),
-    "chain": lambda j: identities.verify_2f1_chain(j),
+    "cor5.1-chain": lambda j: identities.verify_2f1_chain(j),
     "laurent": lambda j, x0: identities.verify_laurent_identity(j, x0),
     "trig": _run_trig,
-    "fib2f1": lambda n: identities.verify_fib_2f1_representations(n),
+    "fib-2f1": lambda n: identities.verify_fib_2f1_representations(n),
     "lemma": _run_lemma,
     "connection": _run_connection,
     **{
@@ -141,20 +141,20 @@ FAMILIES = {
 
 SUITES = {
     "cor51": lambda jmax, qmax: [
-        *[("cor51-T", j) for j in range(1, jmax + 1)],
-        *[("cor51-U", j) for j in range(1, jmax + 1)],
-        *[("cor51-fib", j) for j in range(jmax + 1)],
+        *[("cor5.1-T", j) for j in range(1, jmax + 1)],
+        *[("cor5.1-U", j) for j in range(1, jmax + 1)],
+        *[("cor5.1-fib", j) for j in range(jmax + 1)],
     ],
     "cor52": lambda jmax, qmax: [
-        ("cor52", j, q) for j in range(jmax + 1) for q in range(1, qmax + 1)
+        ("cor5.2", j, q) for j in range(jmax + 1) for q in range(1, qmax + 1)
     ],
     "complex": lambda jmax, qmax: [("complex", n) for n in range(jmax + 1)],
-    "chain": lambda jmax, qmax: [("chain", j) for j in range(jmax + 1)],
+    "chain": lambda jmax, qmax: [("cor5.1-chain", j) for j in range(jmax + 1)],
     "laurent": lambda jmax, qmax: [
         ("laurent", j, x0) for j in range(jmax + 1) for x0 in LAURENT_POINTS
     ],
     "trig": lambda jmax, qmax: [("trig", j) for j in range(jmax + 1)],
-    "fib2f1": lambda jmax, qmax: [("fib2f1", n) for n in range(1, jmax + 1)],
+    "fib2f1": lambda jmax, qmax: [("fib-2f1", n) for n in range(1, jmax + 1)],
     "lemma": lambda jmax, qmax: [
         ("lemma", j, m) for j in range(2, jmax + 1) for m in range(1, j // 2 + 1)
     ],
@@ -193,7 +193,7 @@ def execute_task(task: Task) -> Report:
         params = inspect.signature(verifier).bind(*args).arguments
         return Report(
             identity=family,
-            params=tuple(params.items()),
+            params=tuple(sorted(params.items())),
             status=Status.FAIL,
             error=f"{type(exc).__name__}: {exc}",
         )

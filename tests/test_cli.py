@@ -188,14 +188,14 @@ class TestVerify:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_raising_task_is_a_fail_report(self, capsys, monkeypatch, workers):
         # a pool forks after the patch, so its workers run the raising entry too
-        verify_chain = runner.FAMILIES["chain"]
+        verify_chain = runner.FAMILIES["cor5.1-chain"]
 
         def chain_raising_at_three(j):
             if j == 3:
                 raise ZeroDivisionError("injected")
             return verify_chain(j)
 
-        monkeypatch.setitem(runner.FAMILIES, "chain", chain_raising_at_three)
+        monkeypatch.setitem(runner.FAMILIES, "cor5.1-chain", chain_raising_at_three)
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "chain", "--jmax", "6", "--workers", workers, "--format", "json"
         )
@@ -204,12 +204,40 @@ class TestVerify:
         assert report["counts"] == {"Pass": 2, "PaperErratum": 4, "Fail": 1, "Unevaluable": 0}
         failed = [rec for rec in report["records"] if rec["status"] == "Fail"]
         assert failed == [
-            {"identity": "chain", "params": {"j": "3"}, "status": "Fail", "error": "ZeroDivisionError: injected"}
+            {"identity": "cor5.1-chain", "params": {"j": "3"}, "status": "Fail",
+             "error": "ZeroDivisionError: injected"}
         ]
         # the error shows in the text report too, and no report without one carries the field
         assert all("error" not in rec for rec in report["records"] if rec["status"] != "Fail")
         _, text, _ = run_cli(capsys, "verify", "--suite", "chain", "--jmax", "6", "--workers", workers)
-        assert "  chain(j=3): Fail error=ZeroDivisionError: injected" in text.splitlines()
+        assert "  cor5.1-chain(j=3): Fail error=ZeroDivisionError: injected" in text.splitlines()
+
+    def test_raising_task_keeps_its_identity_row(self, capsys, monkeypatch):
+        verify_sum_u = runner.FAMILIES["cor5.1-U"]
+
+        def sum_u_raising_at_two(j):
+            if j == 2:
+                raise ValueError("injected")
+            return verify_sum_u(j)
+
+        monkeypatch.setitem(runner.FAMILIES, "cor5.1-U", sum_u_raising_at_two)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "cor51", "--jmax", "3", "--format", "json")
+        assert code == 1
+        per_identity = json.loads(out)["per_identity"]
+        assert sorted(per_identity) == ["cor5.1-T", "cor5.1-U", "cor5.1-fib"]
+        assert per_identity["cor5.1-U"] == {"Pass": 2, "PaperErratum": 0, "Fail": 1, "Unevaluable": 0}
+
+    def test_raising_connection_task_names_its_params(self, monkeypatch):
+        # named and ordered as in the report of the same task when it does not raise
+        passing = runner.execute_task(("connection", 2, "f-in-t"))
+
+        def raising_expand(j, direction):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(runner.connection, "expand", raising_expand)
+        failing = runner.execute_task(("connection", 2, "f-in-t"))
+        assert failing.error == "ZeroDivisionError: injected"
+        assert failing.params == passing.params == (("direction", "f-in-t"), ("j", 2))
 
     @pytest.mark.parametrize(
         "workers, cpus, expected",

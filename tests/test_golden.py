@@ -29,6 +29,9 @@ GOLDEN = {
         ["verify", "--suite", "cor52", "--jmax", "36", "--qmax", "5", "--format", "json"], 0),
     "verify_complex_j36.json.sha256": (
         ["verify", "--suite", "complex", "--jmax", "36", "--format", "json"], 0),
+    # the integral sweep: two exact routes and the quadrature for every (j, k, kind)
+    "verify_integrals_j40.json.sha256": (
+        ["verify", "--suite", "integrals", "--jmax", "40", "--format", "json"], 0),
     # the only CLI output whose quadrature takes the 2^-e scaling path (e > 0)
     "integrate_ft_1500_0.txt": (["integrate", "--kind", "ft", "--j", "1500", "--k", "0"], 0),
     **{

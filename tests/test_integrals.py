@@ -16,7 +16,6 @@ from fibcheb import (
     chebyshev_t,
     chebyshev_u,
     even_moment,
-    fibonacci_poly,
     integral_fib_cheb_t,
     integral_fib_cheb_u,
     integral_fib_fib,
@@ -25,7 +24,7 @@ from fibcheb import (
     weighted_integral,
     weighted_integral_by_expansion,
 )
-from fibcheb import integrals
+from fibcheb import binomial, c_norm, hyp2f1, integrals
 from fibcheb.integrals import QUADRATURE_REL_TOL, _member_at_nodes, quadrature_nodes
 
 rational_polys = st.lists(
@@ -96,7 +95,6 @@ class TestMomentOracle:
         p = Polynomial((0, 3, 0, Fraction(-7, 2), 0, 1))
         for weight in Weight:
             assert weighted_integral(p, weight) == 0
-            assert weighted_integral_by_expansion(p, weight) == 0
 
     @given(rational_polys, st.sampled_from(list(Weight)))
     def test_matches_the_closed_form_moments(self, p, weight):
@@ -109,17 +107,44 @@ class TestMomentOracle:
         assert even_moment(2, Weight.SECOND_KIND) == Fraction(1, 16)
 
 
+def product(factors):
+    first, second = (basis.member(index) for basis, index in factors)
+    return first * second
+
+
+F, T, U = Basis.FIBONACCI, Basis.CHEBYSHEV_T, Basis.CHEBYSHEV_U
+
+
+factors_up_to_40 = st.tuples(st.sampled_from(list(Basis)), st.integers(min_value=0, max_value=40))
+
+
 class TestExpansionOracleAgreement:
-    def test_two_exact_routes_agree(self):
-        samples = [
-            fibonacci_poly(9),
-            fibonacci_poly(12) * chebyshev_t(5),
-            fibonacci_poly(7) * chebyshev_u(6),
-            Polynomial((Fraction(1, 3), 1, Fraction(-5, 2), 0, 2, 0, 9)),
+    @given(factors_up_to_40, factors_up_to_40, st.sampled_from(list(Weight)))
+    def test_two_exact_routes_agree(self, first, second, weight):
+        factors = (first, second)
+        assert weighted_integral_by_expansion(factors, weight) == weighted_integral(product(factors), weight)
+
+    def test_known_values(self):
+        # T_0^2 has norm pi and T_n^2 (n >= 1), U_n^2 norm pi/2; F_3 = 1 + x^2 = (3 T_0 + T_2) / 2
+        # = (5 U_0 + U_2) / 4, F_2 = x = T_1 = U_1 / 2
+        cases = [
+            (((T, 0), (T, 0)), Weight.FIRST_KIND, 1),
+            (((T, 3), (T, 3)), Weight.FIRST_KIND, Fraction(1, 2)),
+            (((U, 4), (U, 4)), Weight.SECOND_KIND, Fraction(1, 2)),
+            (((U, 4), (U, 2)), Weight.SECOND_KIND, 0),
+            (((F, 3), (T, 0)), Weight.FIRST_KIND, Fraction(3, 2)),
+            (((F, 3), (F, 3)), Weight.FIRST_KIND, Fraction(19, 8)),
+            (((F, 3), (F, 3)), Weight.SECOND_KIND, Fraction(13, 16)),
+            (((F, 3), (U, 2)), Weight.SECOND_KIND, Fraction(1, 8)),
+            (((F, 2), (U, 1)), Weight.SECOND_KIND, Fraction(1, 4)),
         ]
-        for p in samples:
+        for factors, weight, expected in cases:
+            assert weighted_integral_by_expansion(factors, weight) == PiMultiple(expected), factors
+
+    def test_odd_products_vanish(self):
+        for factors in (((F, 3), (T, 1)), ((F, 8), (T, 4)), ((F, 4), (U, 0)), ((F, 5), (F, 6))):
             for weight in Weight:
-                assert weighted_integral(p, weight) == weighted_integral_by_expansion(p, weight)
+                assert weighted_integral_by_expansion(factors, weight) == 0
 
 
 class TestOrthogonalityRegression:
@@ -138,14 +163,6 @@ class TestOrthogonalityRegression:
             for m in range(n + 1):
                 value = weighted_integral(chebyshev_u(n) * chebyshev_u(m), Weight.SECOND_KIND)
                 assert value == (PiMultiple(Fraction(1, 2)) if n == m else PiMultiple(0))
-
-
-def product(factors):
-    first, second = (basis.member(index) for basis, index in factors)
-    return first * second
-
-
-F, T, U = Basis.FIBONACCI, Basis.CHEBYSHEV_T, Basis.CHEBYSHEV_U
 
 
 class TestQuadrature:
@@ -300,14 +317,32 @@ class TestFibonacciProducts:
 
     def test_first_kind_with_explicit_interpretation(self):
         # reading d_m as the k-side normalizer makes the printed diagonal work
-        from fibcheb.sequences import c_norm
-
         for j in range(13):
             value, report = integral_fib_fib(
                 j, j, Weight.FIRST_KIND, first_kind_interpretation=lambda m, j=j: c_norm(j - 2 * m)
             )
             printed = next(c for c in report.checks if c.name == "printed-vs-oracle")
             assert printed.ok, j
+
+    @given(
+        st.integers(min_value=0, max_value=24).flatmap(
+            lambda j: st.tuples(st.just(j), st.integers(min_value=0, max_value=j))
+        ),
+        st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=9), min_size=13, max_size=13),
+    )
+    def test_first_kind_printed_form_is_the_published_sum(self, jk, d_values):
+        # the published sum, transcribed verbatim, under an arbitrary reading of d_m
+        j, k = jk
+        expected = Fraction(2) ** (1 - k - j) * sum(
+            Fraction(2) ** (4 * m)
+            * d_values[m]
+            * Fraction(binomial(j - m, j - 2 * m) * binomial(k - m, k - 2 * m))
+            / (c_norm(k - 2 * m) * c_norm(j - 2 * m))
+            * hyp2f1(-m, k - m + 1, k - 2 * m + 1, Fraction(-1, 4))
+            * hyp2f1(-m, j - m + 1, j - 2 * m + 1, Fraction(-1, 4))
+            for m in range(k // 2 + 1)
+        )
+        assert integrals.printed_fib_fib_first(j, k, d_values.__getitem__) == PiMultiple(expected)
 
     def test_rejects_k_above_j(self):
         with pytest.raises(ValueError):
