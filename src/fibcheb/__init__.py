@@ -58,8 +58,6 @@ from .runner import RunConfig, run_sweep, summarize
 from .scalars import (
     GaussianRational,
     binomial,
-    format_rational,
-    parse_rational,
     pochhammer,
     sqrt_pi_over_gamma,
 )
@@ -112,14 +110,12 @@ __all__ = [
     "fibonacci_number",
     "fibonacci_poly",
     "fibonacci_poly_power_form",
-    "format_rational",
     "hyp2f1",
     "integral_fib_cheb_t",
     "integral_fib_cheb_u",
     "integral_fib_fib",
     "lemma_recurrence_holds",
     "oracle_expand",
-    "parse_rational",
     "pfaff_transform",
     "pochhammer",
     "quadrature_check",

@@ -17,7 +17,6 @@ from . import integrals, runner
 from .connection import Direction, table_terms
 from .hypergeometric import Hyp2F1, eval_2f1
 from .report import Status
-from .scalars import format_rational, parse_rational
 
 TABLE_FIELDS = ("j", "m", "target", "coefficient")
 
@@ -25,7 +24,7 @@ TABLE_FIELDS = ("j", "m", "target", "coefficient")
 def rational(text: str) -> Fraction:
     """The type of the eval parameters: argparse names the flag and the text it rejects."""
     try:
-        return parse_rational(text)
+        return Fraction(text)
     except ZeroDivisionError:  # "1/0" is as invalid as "abc"
         raise ValueError(text) from None
 
@@ -52,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--jmax", type=int, default=20)
     verify.add_argument("--qmax", type=int, default=5)
     verify.add_argument("--format", dest="output_format", choices=["json", "text"], default="text")
-    verify.add_argument("--workers", type=int, default=None)
+    verify.add_argument("--workers", type=int, default=1)
     verify.add_argument("--cap", type=int, default=runner.DEFAULT_SAFETY_CAP)
 
     integrate = sub.add_parser("integrate", help="evaluate one weighted integral")
@@ -73,15 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_table(args) -> int:
     direction = Direction(args.direction)
-    if args.cap < 0:
-        print(f"error: safety cap must be nonnegative, got {args.cap}", file=sys.stderr)
-        return 2
-    if args.jmax < 0 or args.jmax > args.cap:
-        print(f"error: jmax must be in [0, {args.cap}]", file=sys.stderr)
+    try:
+        runner.check_limits(args.cap, jmax=args.jmax)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     label = direction.target_basis.value
     rows = [
-        (j, term.m, f"{label}_{term.target_index}", format_rational(term.coefficient))
+        (j, term.m, f"{label}_{term.target_index}", str(term.coefficient))
         for j, terms in table_terms(direction, args.jmax)
         for term in terms
     ]
@@ -96,15 +94,13 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        workers = args.workers if args.workers is not None else runner.default_worker_count()
         config = runner.RunConfig(
             suite=args.suite,
             jmax=args.jmax,
             qmax=args.qmax,
-            workers=workers,
+            workers=args.workers,
             safety_cap=args.cap,
         )
-        config.validate()
         reports = runner.run_sweep(config)
     except (ValueError, BrokenProcessPool) as exc:  # BrokenProcessPool: a worker was killed, by the OS say
         print(f"error: {exc}", file=sys.stderr)
@@ -145,7 +141,7 @@ def _cmd_eval(args) -> int:
     except ValueError as exc:  # NonTerminatingError, ZeroDenominatorError: invalid inputs
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(format_rational(value))
+    print(value)
     return 0
 
 

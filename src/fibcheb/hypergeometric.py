@@ -14,10 +14,10 @@ those integers, and the result is reduced to lowest terms once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .scalars import RationalLike
 
@@ -30,26 +30,23 @@ class ZeroDenominatorError(ValueError):
     """The lower parameter hits a nonpositive integer before the series terminates."""
 
 
-def _as_nonpositive_int(value: Fraction) -> int | None:
+def _as_nonpositive_int(value: RationalLike) -> int | None:
     if value.denominator == 1 and value <= 0:
         return -int(value)
     return None
 
 
-@dataclass(frozen=True)
-class Hyp2F1:
-    """Parameter record (a, b; c; z) of a Gauss series intended to terminate."""
+class Hyp2F1(NamedTuple):
+    """Parameter record (a, b; c; z) of a Gauss series intended to terminate.
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    z: Fraction
+    The parameters are kept as given, int or ``Fraction``; equal values hash
+    alike, so ``-1`` and ``Fraction(-1)`` share one ``eval_2f1`` cache entry.
+    """
 
-    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike, z: RationalLike):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "z", Fraction(z))
+    a: RationalLike
+    b: RationalLike
+    c: RationalLike
+    z: RationalLike
 
     def termination_index(self) -> int:
         """The index K of the last nonvanishing term."""
@@ -149,6 +146,6 @@ def pfaff_transform(series: Hyp2F1) -> tuple[Fraction, Hyp2F1]:
         series.a,
         series.c - series.b,
         series.c,
-        series.z / (series.z - 1),
+        Fraction(series.z) / (series.z - 1),
     )
     return prefactor, transformed

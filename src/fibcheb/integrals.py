@@ -22,7 +22,7 @@ from .connection import Direction, oracle_expand, terms
 from .hypergeometric import hyp2f1
 from .polynomials import Polynomial
 from .report import Check, Report, Status, make_report
-from .scalars import RationalLike, binomial, double_factorial, format_rational
+from .scalars import RationalLike, binomial, double_factorial
 from .sequences import Basis, c_norm
 
 
@@ -67,13 +67,13 @@ class PiMultiple:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("pi-multiple", self.coefficient))
+        return hash(self.coefficient)
 
     def __float__(self) -> float:
         return float(self.coefficient) * math.pi
 
     def to_text(self) -> str:
-        return f"{format_rational(self.coefficient)} * pi"
+        return f"{self.coefficient} * pi"
 
     def __repr__(self):
         return f"PiMultiple({self.coefficient!r})"

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .scalars import GaussianRational, RationalLike, format_rational, lattice_parts
+from .scalars import GaussianRational, RationalLike, lattice_parts
 
 
 class Polynomial:
@@ -222,11 +222,11 @@ class Polynomial:
         parts = []
         for i, c in enumerate(self.coeffs):
             if i == 0:
-                parts.append(format_rational(c))
+                parts.append(str(c))
             elif i == 1:
-                parts.append(f"{format_rational(c)}*x")
+                parts.append(f"{c}*x")
             else:
-                parts.append(f"{format_rational(c)}*x^{i}")
+                parts.append(f"{c}*x^{i}")
         return " + ".join(parts)
 
     def __str__(self):
@@ -240,10 +240,10 @@ class Polynomial:
             sign = "-" if c < 0 else ("+" if parts else "")
             mag = abs(c)
             if i == 0:
-                body = format_rational(mag)
+                body = str(mag)
             else:
                 var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{format_rational(mag)}*{var}"
+                body = var if mag == 1 else f"{mag}*{var}"
             parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
         return " ".join(parts)
 

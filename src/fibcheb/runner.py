@@ -37,26 +37,23 @@ class RunConfig:
     def validate(self) -> None:
         if self.suite != "all" and self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
-        if self.jmax < 0 or self.qmax < 0:
-            raise ValueError("ranges must be nonnegative")
-        if self.safety_cap < 0:
-            raise ValueError(f"safety cap must be nonnegative, got {self.safety_cap}")
-        for name, value in (("jmax", self.jmax), ("qmax", self.qmax)):
-            if value > self.safety_cap:
-                raise ValueError(f"{name} {value} exceeds safety cap {self.safety_cap}")
+        check_limits(self.safety_cap, jmax=self.jmax, qmax=self.qmax)
         if self.workers < 1:
             raise ValueError("worker count must be positive")
 
 
-def default_worker_count() -> int:
-    """The worker count from FIBCHEB_WORKERS (at least 1), or 1 when it is unset."""
-    env = os.environ.get("FIBCHEB_WORKERS", "")
-    if not env.strip():
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"FIBCHEB_WORKERS must be an integer, got {env!r}") from None
+def check_limits(cap: int, **values: int) -> None:
+    """The one limit check of the commands: each named value must lie in [0, cap].
+
+    Raises ValueError naming the negative cap, or the first value out of range.
+    """
+    if cap < 0:
+        raise ValueError(f"safety cap must be nonnegative, got {cap}")
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+        if value > cap:
+            raise ValueError(f"{name} {value} exceeds safety cap {cap}")
 
 
 # ---------------------------------------------------------------------------

@@ -76,15 +76,6 @@ def sqrt_pi_over_gamma(q: int, offset: RationalLike) -> Fraction:
     raise ValueError(f"offset must be 1/2 or 3/2, got {offset}")
 
 
-def format_rational(x: RationalLike) -> str:
-    """Serialize as "p/q", with the denominator omitted when it is 1."""
-    return str(Fraction(x))
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts.
 
@@ -204,9 +195,9 @@ class GaussianRational:
     def to_text(self) -> str:
         """Serialize as "p/q+r/s*i" (real form "p/q" when the imaginary part is 0)."""
         if self.im == 0:
-            return format_rational(self.re)
+            return str(self.re)
         sign = "+" if self.im >= 0 else "-"
-        return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}*i"
+        return f"{self.re}{sign}{abs(self.im)}*i"
 
     def __str__(self):
         return self.to_text()

@@ -294,18 +294,46 @@ class TestVerify:
         assert out == ""
         assert err == "error: A process in the process pool was terminated abruptly\n"
 
-    def test_worker_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("FIBCHEB_WORKERS", "2")
+    def test_default_is_one_worker_without_a_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started without --workers")
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemma", "--jmax", "6")
         assert code == 0
         assert "result: OK" in out
 
-    def test_malformed_worker_env_is_a_config_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("FIBCHEB_WORKERS", "abc")
-        code, out, err = run_cli(capsys, "verify", "--suite", "lemma", "--jmax", "3")
-        assert code == 2
-        assert out == ""
-        assert "FIBCHEB_WORKERS" in err
+
+LIMITED_COMMANDS = [("table", "--direction", "f-in-t"), ("verify", "--suite", "lemma")]
+
+
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        (("--jmax", "-1"), "jmax must be nonnegative, got -1"),
+        (("--jmax", "501"), "jmax 501 exceeds safety cap 500"),
+        (("--jmax", "0", "--cap", "-3"), "safety cap must be nonnegative, got -3"),
+    ],
+)
+@pytest.mark.parametrize("command", LIMITED_COMMANDS)
+def test_table_and_verify_share_the_limit_messages(capsys, command, limits, message):
+    assert run_cli(capsys, *command, *limits) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", LIMITED_COMMANDS)
+def test_jmax_at_the_cap_is_accepted(capsys, command):
+    assert run_cli(capsys, *command, "--jmax", "5", "--cap", "5")[0] == 0  # verify's qmax is 5 too
+
+
+def test_readme_command_lines_run(capsys):
+    block = re.search(r"^## Command line\n+```sh\n(.*?)^```", README.read_text(), re.M | re.S).group(1)
+    lines = [line.split("#")[0].split()[1:] for line in block.splitlines() if line.startswith("fibcheb ")]
+    assert [argv[0] for argv in lines] == ["table", "verify", "verify", "integrate", "eval"]
+    for argv in lines:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        if argv[0] == "eval":
+            assert out == "11/3\n"
 
 
 def test_readme_suite_list_matches_registry():

@@ -51,8 +51,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_output_matches_fixture(name, capsys, monkeypatch):
-    monkeypatch.delenv("FIBCHEB_WORKERS", raising=False)
+def test_output_matches_fixture(name, capsys):
     argv, expected_code = GOLDEN[name]
     code = main(argv)
     out = capsys.readouterr().out

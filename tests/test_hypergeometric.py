@@ -109,6 +109,13 @@ class TestEval2F1:
         series = Hyp2F1(-8, Fraction(3, 2), -8, Fraction(-1, 4))
         assert eval_2f1(series) == forward_2f1(series)
 
+    def test_equal_spellings_share_one_cache_entry(self):
+        eval_2f1.cache_clear()
+        assert eval_2f1(Hyp2F1(-1, 2, 3, -4)) == Fraction(11, 3)
+        assert eval_2f1(Hyp2F1(Fraction(-1), Fraction(2), Fraction(3), Fraction(-4))) == Fraction(11, 3)
+        info = eval_2f1.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
 
 class TestFibonacciRepresentations:
     def test_examples(self):
@@ -140,6 +147,7 @@ class TestPfaffTransform:
         prefactor, transformed = pfaff_transform(Hyp2F1(-1, 2, 3, -4))
         assert prefactor == 5
         assert transformed == Hyp2F1(-1, 1, 3, Fraction(4, 5))
+        assert type(transformed.z) is Fraction  # an int z divides exactly
         assert prefactor * eval_2f1(transformed) == hyp2f1(-1, 2, 3, -4)
 
     def test_trivial_at_zero_parameter(self):

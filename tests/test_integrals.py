@@ -78,6 +78,7 @@ class TestPiMultiple:
         assert a - b == PiMultiple(1)
         assert a * 2 == PiMultiple(3)
         assert PiMultiple(0) == 0
+        assert len({PiMultiple(0), 0}) == 1
         assert a != 0
 
     def test_float_and_text(self):

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from fibcheb import (
     GaussianRational,
     binomial,
-    format_rational,
-    parse_rational,
     pochhammer,
     sqrt_pi_over_gamma,
 )
@@ -104,13 +102,6 @@ class TestRationalField:
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-
-    def test_serialization(self):
-        assert format_rational(Fraction(3, 2)) == "3/2"
-        assert format_rational(Fraction(5)) == "5"
-        assert format_rational(Fraction(-7, 4)) == "-7/4"
-        assert parse_rational("  -7/4 ") == Fraction(-7, 4)
-        assert parse_rational("5") == 5
 
 
 class TestGaussianRational:
