@@ -53,7 +53,7 @@ from .integrals import (
     weighted_integral_by_expansion,
 )
 from .polynomials import Polynomial
-from .report import Check, Report, Status
+from .report import Check, Report, Status, Verdict
 from .runner import RunConfig, run_sweep, summarize
 from .scalars import (
     GaussianRational,
@@ -92,6 +92,7 @@ __all__ = [
     "Report",
     "RunConfig",
     "Status",
+    "Verdict",
     "Weight",
     "ZeroDenominatorError",
     "binomial",

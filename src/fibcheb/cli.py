@@ -101,11 +101,11 @@ def _cmd_verify(args) -> int:
             workers=args.workers,
             safety_cap=args.cap,
         )
-        reports = runner.run_sweep(config)
+        verdicts = runner.run_sweep(config)
     except (ValueError, BrokenProcessPool) as exc:  # BrokenProcessPool: a worker was killed, by the OS say
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = runner.summarize(config, reports)
+    summary = runner.summarize(config, verdicts)
     if args.output_format == "json":
         sys.stdout.write(runner.render_json(summary))
     else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class Status(str, Enum):
@@ -41,6 +42,21 @@ class Check:
         return self.lhs == self.rhs
 
 
+class Verdict(NamedTuple):
+    """What a sweep keeps of one report: its sort key, identity and status
+    value, and its ``to_dict()`` record when the status is not Pass (else None).
+
+    It is made of strings alone, so a pool worker sends it back without the
+    report's exact values: the parent rebuilds no ``Fraction`` or
+    ``Polynomial`` when it unpickles one.
+    """
+
+    key: tuple
+    identity: str
+    status: str
+    record: dict | None
+
+
 @dataclass(frozen=True)
 class Report:
     identity: str
@@ -58,6 +74,10 @@ class Report:
 
     def sort_key(self) -> tuple:
         return (self.identity, tuple((k, _display(v)) for k, v in self.params))
+
+    def verdict(self) -> Verdict:
+        record = None if self.status is Status.PASS else self.to_dict()
+        return Verdict(self.sort_key(), self.identity, self.status.value, record)
 
     def to_dict(self) -> dict:
         out = {

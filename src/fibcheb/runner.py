@@ -1,8 +1,11 @@
 """Deterministic sweep runner behind the ``verify`` command.
 
 Tasks are pure and independent, so they may be fanned out over a process
-pool; results are merged and sorted by identity and parameters, which makes
-the emitted report byte-identical regardless of worker count.
+pool.  Every task is settled where it runs, in the calling process or in a
+pool worker, into a ``Verdict``: the report's sort key, identity, status and,
+for a non-Pass report only, its JSON record.  The verdicts are sorted by
+identity and parameters, which makes the emitted report byte-identical
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -16,10 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import connection, identities, integrals
-from .report import Check, Report, Status, make_report
+from .report import Check, Report, Status, Verdict, make_report
 from .sequences import Basis
 
 DEFAULT_SAFETY_CAP = 500
+# A pool hands each worker about this many chunks of tasks.  Fewer chunks mean
+# fewer round trips through the pool's queues; more mean a shorter idle tail
+# behind the last chunk, which holds the heaviest tasks (the large-j integrals).
+CHUNKS_PER_WORKER = 16
 TRIG_ABS_TOL = 1e-9
 TRIG_SAMPLE_COUNT = 16
 
@@ -196,19 +203,26 @@ def execute_task(task: Task) -> Report:
         )
 
 
-def run_sweep(config: RunConfig) -> list[Report]:
+def settle(task: Task) -> Verdict:
+    """``execute_task(task)`` reduced to the verdict a sweep keeps."""
+    return execute_task(task).verdict()
+
+
+def run_sweep(config: RunConfig) -> list[Verdict]:
+    """The verdicts of every task of the configured suites, sorted by key."""
     config.validate()
     tasks = build_tasks(config)
     if config.workers == 1:
-        reports = [execute_task(t) for t in tasks]
+        verdicts = list(map(settle, tasks))
     else:
         # A pool may start all of its processes at once, so it never gets more
         # than there are CPUs or tasks; the output does not depend on the count.
         size = max(1, min(config.workers, os.cpu_count() or 1, len(tasks)))
         with ProcessPoolExecutor(max_workers=size) as pool:
-            reports = list(pool.map(execute_task, tasks, chunksize=16))
-    reports.sort(key=lambda r: r.sort_key())
-    return reports
+            chunksize = len(tasks) // (size * CHUNKS_PER_WORKER) + 1
+            verdicts = list(pool.map(settle, tasks, chunksize=chunksize))
+    verdicts.sort(key=lambda v: v.key)
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +230,14 @@ def run_sweep(config: RunConfig) -> list[Report]:
 # ---------------------------------------------------------------------------
 
 
-def summarize(config: RunConfig, reports: list[Report]) -> dict:
+def summarize(config: RunConfig, verdicts: list[Verdict]) -> dict:
+    """Status counts, overall and per identity, and the non-Pass records in verdict order."""
     counts: dict[str, int] = {s.value: 0 for s in Status}
     per_identity: dict[str, dict[str, int]] = {}
-    records = []
-    for r in reports:
-        counts[r.status.value] += 1
-        bucket = per_identity.setdefault(r.identity, {s.value: 0 for s in Status})
-        bucket[r.status.value] += 1
-        if r.status is not Status.PASS:
-            records.append(r.to_dict())
+    for v in verdicts:
+        counts[v.status] += 1
+        bucket = per_identity.setdefault(v.identity, {s.value: 0 for s in Status})
+        bucket[v.status] += 1
     return {
         "config": {
             "suite": config.suite,
@@ -234,7 +246,7 @@ def summarize(config: RunConfig, reports: list[Report]) -> dict:
         },
         "counts": counts,
         "per_identity": per_identity,
-        "records": records,
+        "records": [v.record for v in verdicts if v.record is not None],
     }
 
 

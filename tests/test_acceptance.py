@@ -222,13 +222,13 @@ def test_criterion_9_integrals():
 def test_criterion_10_determinism_and_runtime():
     started = time.monotonic()
     config_one = RunConfig(suite="all", jmax=30, qmax=5, workers=1)
-    reports_one = run_sweep(config_one)
+    verdicts_one = run_sweep(config_one)
     config_two = RunConfig(suite="all", jmax=30, qmax=5, workers=2)
-    reports_two = run_sweep(config_two)
+    verdicts_two = run_sweep(config_two)
     elapsed = time.monotonic() - started
 
-    json_one = render_json(summarize(config_one, reports_one))
-    json_two = render_json(summarize(config_two, reports_two))
+    json_one = render_json(summarize(config_one, verdicts_one))
+    json_two = render_json(summarize(config_two, verdicts_two))
     identical = json_one == json_two
     no_failures = json.loads(json_one)["counts"]["Fail"] == 0
     fast_enough = elapsed < 60.0

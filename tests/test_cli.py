@@ -11,6 +11,7 @@ import pytest
 
 from fibcheb import runner
 from fibcheb.cli import main
+from fibcheb.report import Status
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -149,10 +150,21 @@ class TestVerify:
         assert all(r["params"]["k"] == "0" for r in ft_records)
 
     def test_deterministic_across_worker_counts(self, capsys):
-        args = ("verify", "--suite", "cor52", "--jmax", "6", "--qmax", "3", "--format", "json")
-        _, out1, _ = run_cli(capsys, *args, "--workers", "1")
-        _, out2, _ = run_cli(capsys, *args, "--workers", "3")
-        assert out1 == out2
+        cases = [
+            (("verify", "--suite", "cor52", "--jmax", "6", "--qmax", "3", "--format", "json"), "3"),
+            # every family through a real pool, in the format that prints each record's fields
+            (("verify", "--suite", "all", "--jmax", "8", "--qmax", "3", "--format", "text"), "2"),
+        ]
+        for args, workers in cases:
+            _, out1, _ = run_cli(capsys, *args, "--workers", "1")
+            _, out2, _ = run_cli(capsys, *args, "--workers", workers)
+            assert out1 == out2, args
+
+    def test_empty_grid_on_a_pool(self, capsys):
+        # lemma starts at j = 2: no task, and still one chunk of them
+        code, out, _ = run_cli(capsys, "verify", "--suite", "lemma", "--jmax", "1", "--workers", "2")
+        assert code == 0
+        assert "result: OK (0 failing)" in out
 
     def test_repeat_runs_byte_identical(self, capsys):
         args = ("verify", "--suite", "integrals", "--jmax", "8", "--format", "json")
@@ -239,6 +251,30 @@ class TestVerify:
         assert failing.error == "ZeroDivisionError: injected"
         assert failing.params == passing.params == (("direction", "f-in-t"), ("j", 2))
 
+    def test_verdict_matches_report(self):
+        tasks = runner.build_tasks(runner.RunConfig(jmax=3, qmax=2))
+        assert {task[0] for task in tasks} == set(runner.FAMILIES)
+        statuses = set()
+        for task in tasks:
+            report = runner.execute_task(task)
+            verdict = runner.settle(task)
+            assert verdict.key == report.sort_key()
+            assert verdict.identity == report.identity
+            assert verdict.status == report.status.value
+            assert verdict.record == (None if report.status is Status.PASS else report.to_dict())
+            statuses.add(report.status)
+        assert statuses == {Status.PASS, Status.PAPER_ERRATUM, Status.UNEVALUABLE}
+
+    def test_raising_task_verdict_carries_the_error(self, monkeypatch):
+        def chain_raising(j):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setitem(runner.FAMILIES, "cor5.1-chain", chain_raising)
+        report = runner.execute_task(("cor5.1-chain", 3))
+        verdict = runner.settle(("cor5.1-chain", 3))
+        assert verdict == (report.sort_key(), "cor5.1-chain", "Fail", report.to_dict())
+        assert verdict.record["error"] == "ZeroDivisionError: injected"
+
     @pytest.mark.parametrize(
         "workers, cpus, expected",
         # lemma at jmax 6 has 9 tasks
@@ -266,10 +302,10 @@ class TestVerify:
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
         config = runner.RunConfig(suite="lemma", jmax=6, workers=workers)
         assert len(runner.build_tasks(config)) == 9
-        reports = runner.run_sweep(config)
+        verdicts = runner.run_sweep(config)
         assert sizes == [expected]
         serial = runner.run_sweep(runner.RunConfig(suite="lemma", jmax=6, workers=1))
-        assert reports == serial
+        assert verdicts == serial
 
     def test_broken_pool_is_a_clean_error(self, capsys, monkeypatch):
         # a fake pool raises as a real one does when the OS kills a worker;
