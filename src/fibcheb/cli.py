@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from functools import lru_cache
 
 from . import integrals, runner
-from .connection import Direction, table_terms
+from .connection import Direction, table_rows
 from .hypergeometric import Hyp2F1, eval_2f1
 from .report import Status
 
@@ -27,6 +29,25 @@ def rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:  # "1/0" is as invalid as "abc"
         raise ValueError(text) from None
+
+
+@lru_cache(maxsize=None)
+def _power_of_two_text(k: int) -> str:
+    return str(1 << k)
+
+
+def dyadic_text(s: int, e: int) -> str:
+    """``str(Fraction(s, 2**e))`` for e >= 0, reduced without a gcd.
+
+    The denominator's only prime is 2, so with t the trailing zeros of s (the
+    bit length of its lowest set bit, less one) the value is the integer
+    s >> e when t >= e, and s >> t over 2^(e - t) in lowest terms otherwise.
+    A table has few distinct denominators, so their texts are cached.
+    """
+    if not s:
+        return "0"
+    t = (s & -s).bit_length() - 1
+    return str(s >> e) if t >= e else f"{s >> t}/{_power_of_two_text(e - t)}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for flag in ("--a", "--b", "--c", "--z"):
         evaluate.add_argument(flag, required=True, type=rational)
+    evaluate.add_argument("--cap", type=int, default=runner.DEFAULT_SAFETY_CAP)
 
     return parser
 
@@ -77,18 +99,25 @@ def _cmd_table(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    label = direction.target_basis.value
-    rows = [
-        (j, term.m, f"{label}_{term.target_index}", str(term.coefficient))
-        for j, terms in table_terms(direction, args.jmax)
-        for term in terms
-    ]
+    label, shift = direction.target_basis.value, direction.target_basis.shift
+    rows = table_rows(direction, args.jmax)
     if args.output_format == "json":
-        print(json.dumps([dict(zip(TABLE_FIELDS, row)) for row in rows], indent=2))
+        entries = [
+            dict(zip(TABLE_FIELDS, (j, m, f"{label}_{j - 2 * m + shift}", dyadic_text(s, e))))
+            for j, row, e in rows
+            for m, s in enumerate(row)
+        ]
+        print(json.dumps(entries, indent=2))
     else:
         # No field can hold a comma, a quote or a line break, so the CSV
-        # dialect's quoting never applies and each row is joined directly.
-        sys.stdout.write("".join(f"{j},{m},{target},{c}\r\n" for j, m, target, c in [TABLE_FIELDS, *rows]))
+        # dialect's quoting never applies; each row j is joined and written
+        # on its own, so the whole table is never held at once.
+        write = sys.stdout.write
+        write(",".join(TABLE_FIELDS) + "\r\n")
+        for j, row, e in rows:
+            write("".join(
+                f"{j},{m},{label}_{j - 2 * m + shift},{dyadic_text(s, e)}\r\n" for m, s in enumerate(row)
+            ))
     return 0
 
 
@@ -136,9 +165,11 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    series = Hyp2F1(args.a, args.b, args.c, args.z)
     try:
-        value = eval_2f1(Hyp2F1(args.a, args.b, args.c, args.z))
-    except ValueError as exc:  # NonTerminatingError, ZeroDenominatorError: invalid inputs
+        runner.check_limits(args.cap, termination_index=series.termination_index())
+        value = eval_2f1(series)
+    except ValueError as exc:  # NonTerminatingError, ZeroDenominatorError, a limit: invalid inputs
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(value)
@@ -158,7 +189,16 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``fibcheb table ... | head``), which
+        # is no fault of the command; stdout goes to the null device so that the
+        # flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,10 +6,11 @@ behind algebraic simplification), and an independent triangular-elimination
 oracle recovers the same expansion from the polynomials alone.  The two
 routes must agree term by term.
 
-Tables take a third route: ``table_terms`` builds each whole row of
+Tables take a third route: ``table_rows`` builds each whole row of
 coefficients from the two rows before it by the family relations, in integer
-additions only, so ``table --jmax 900`` takes seconds.  Only tables use it;
-the tests hold it to the closed form.
+additions only, and yields it as integers over one power of two, so
+``table --jmax 900`` takes about a second without one ``Fraction``.  Only
+tables use it; the tests hold it to the closed form.
 """
 
 from __future__ import annotations
@@ -139,28 +140,26 @@ def expand(j: int, direction: Direction) -> Expansion:
     return Expansion(j, direction, terms(j, direction))
 
 
-def table_terms(direction: Direction, jmax: int) -> Iterator[tuple[int, tuple[ExpansionTerm, ...]]]:
-    """Yield (j, terms(j, direction)) for j = direction.min_index .. jmax, a whole row per step.
+def table_rows(direction: Direction, jmax: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """Yield (j, row, e) for j = direction.min_index .. jmax, a whole row per step.
 
-    The rows come from the family relations, not from the closed form.  Row j
-    is kept by m as integers: c(j, m) for a Fibonacci target, and 2^j c(j, m)
-    for a Chebyshev target, where F_{j+2} = x F_{j+1} + F_j with
-    x U_n = (U_{n+1} + U_{n-1}) / 2 gives S(j+1, n) = S(j, n-1) + S(j, n+1)
-    + 4 S(j-1, n) (and x T_0 = T_1 adds S(j, 0) once more to n = 1).  For a
-    Fibonacci target P_{j+1} = 2x P_j - P_{j-1} with x F_k = F_{k+1} - F_{k-1}
-    and F_0 = 0, from T_1 = F_2 or U_1 = 2 F_2.  Tests hold every row to
-    ``terms``; nothing that verifies uses this route.
+    The coefficient c(j, m) of ``terms(j, direction)`` is row[m] / 2^e, with
+    target index j - 2m plus the target family's shift: e = 0 for a Fibonacci
+    target, whose coefficients are integers, and e = j for a Chebyshev one.
+
+    The rows come from the family relations, not from the closed form.  For a
+    Chebyshev target the row holds S(j, m) = 2^j c(j, m), and F_{j+2} =
+    x F_{j+1} + F_j with x U_n = (U_{n+1} + U_{n-1}) / 2 gives S(j+1, n) =
+    S(j, n-1) + S(j, n+1) + 4 S(j-1, n) (and x T_0 = T_1 adds S(j, 0) once
+    more to n = 1).  For a Fibonacci target P_{j+1} = 2x P_j - P_{j-1} with
+    x F_k = F_{k+1} - F_{k-1} and F_0 = 0, from T_1 = F_2 or U_1 = 2 F_2.
+    Tests hold every row to ``terms``; nothing that verifies uses this route.
     """
-    shift = direction.target_basis.shift
     to_fibonacci = direction.target_basis is Basis.FIBONACCI
     prev, row = [], [1]  # rows j - 1 and j, from j = 0: F_0 = 0, and F_1 = T_0 = U_0 = 1
     for j in range(jmax + 1):
         if j >= direction.min_index:
-            if to_fibonacci:
-                yield j, tuple(ExpansionTerm(m, j - 2 * m + shift, Fraction(c)) for m, c in enumerate(row))
-            else:
-                scale = 1 << j
-                yield j, tuple(ExpansionTerm(m, j - 2 * m + shift, Fraction(s, scale)) for m, s in enumerate(row))
+            yield j, tuple(row), 0 if to_fibonacci else j
         if j == 0 and direction is Direction.T_IN_F:
             step = [1]  # T_1 = x T_0 = F_2
         elif to_fibonacci:

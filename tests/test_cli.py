@@ -3,17 +3,24 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from fibcheb import runner
-from fibcheb.cli import main
+from fibcheb import Direction, runner
+from fibcheb.cli import dyadic_text, main
 from fibcheb.report import Status
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +45,16 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--a", "1/2", "--b", "3/2", "--c", "1", "--z", "1/3")
         assert code == 2
         assert "terminate" in err
+
+    def test_termination_index_over_the_cap_exits_cleanly(self, capsys):
+        # a series of 10^8 terms is refused before a term is summed
+        huge = ("eval", "--a=-100000000", "--b", "1", "--c", "1", "--z", "1")
+        assert run_cli(capsys, *huge) == (2, "", "error: termination_index 100000000 exceeds safety cap 500\n")
+        at_cap = ("eval", "--a=-600", "--b", "1", "--c", "1", "--z", "1")
+        assert run_cli(capsys, *at_cap)[0] == 2
+        assert run_cli(capsys, *at_cap, "--cap", "600") == (0, "0\n", "")  # (1 - 1)^600
+        negative = (2, "", "error: safety cap must be nonnegative, got -1\n")
+        assert run_cli(capsys, *at_cap, "--cap", "-1") == negative
 
     @pytest.mark.parametrize("flag, text", [("--z", "1/0"), ("--b", "abc")])
     def test_unparsable_parameter_names_its_flag(self, capsys, flag, text):
@@ -75,6 +92,25 @@ class TestTable:
         }
         for direction, rows in first_rows.items():
             assert run_cli(capsys, "table", "--direction", direction, "--jmax", "1") == (0, header + rows, "")
+
+    @pytest.mark.parametrize("direction", [d.value for d in Direction])
+    def test_json_and_csv_carry_the_same_rows(self, capsys, direction):
+        command = ("table", "--direction", direction, "--jmax", "60")
+        _, text, _ = run_cli(capsys, *command, "--format", "csv")
+        _, dumped, _ = run_cli(capsys, *command, "--format", "json")
+        rows = [{**row, "j": int(row["j"]), "m": int(row["m"])} for row in csv.DictReader(io.StringIO(text))]
+        assert len(rows) == sum(j // 2 + 1 for j in range(Direction(direction).min_index, 61))
+        assert json.loads(dumped) == rows
+
+    def test_a_reader_that_stops_early_ends_the_table_quietly(self):
+        # the CSV is written row by row, so a closed pipe interrupts the writes
+        command = [sys.executable, "-m", "fibcheb.cli", "table", "--direction", "f-in-t", "--jmax", "300",
+                   "--cap", "300"]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.read(100).startswith(b"j,m,target,coefficient\r\n0,0,T_0,1\r\n")
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
 
     def test_jmax_over_cap_rejected(self, capsys):
         code, _, err = run_cli(capsys, "table", "--direction", "f-in-t", "--jmax", "501")
@@ -375,3 +411,19 @@ def test_readme_command_lines_run(capsys):
 def test_readme_suite_list_matches_registry():
     paragraph = re.search(r"^Suites: (.*?or `all`)", README.read_text(), re.M | re.S).group(1)
     assert re.findall(r"`([^`]+)`", paragraph) == [*runner.SUITES, "all"]
+
+
+@given(
+    s=st.one_of(st.integers(), st.builds(lambda k, z: k << z, st.integers(), st.integers(0, 1100))),
+    e=st.integers(0, 1000),
+)
+@example(s=0, e=0)
+@example(s=0, e=7)
+@example(s=-3, e=2)
+@example(s=5, e=0)
+@example(s=-(1 << 40), e=40)
+@example(s=3 << 1000, e=1000)
+@example(s=-(5 << 9), e=4)
+@example(s=12, e=1000)
+def test_dyadic_text_is_the_reduced_fraction(s, e):
+    assert dyadic_text(s, e) == str(Fraction(s, 2**e))

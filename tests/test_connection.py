@@ -16,7 +16,7 @@ from fibcheb import (
     lemma_recurrence_holds,
     oracle_expand,
 )
-from fibcheb.connection import table_terms, terms
+from fibcheb.connection import ExpansionTerm, table_rows, terms
 
 
 def rebuild_elimination(p, basis):
@@ -106,7 +106,16 @@ def integer_family(p0, p1, x_factor, sign, count):
     return values
 
 
+def table_terms(direction, jmax):
+    """The rows of ``table_rows`` as (j, terms), each integer s over 2^e as ``ExpansionTerm(m, index, s / 2^e)``."""
+    shift = direction.target_basis.shift
+    for j, row, e in table_rows(direction, jmax):
+        yield j, tuple(ExpansionTerm(m, j - 2 * m + shift, Fraction(s, 1 << e)) for m, s in enumerate(row))
+
+
 class TestTableTerms:
+    """The integer rows of ``table_rows``, held to the closed form and to the source polynomials."""
+
     @pytest.mark.parametrize("direction", list(Direction))
     def test_rows_equal_the_closed_form(self, direction):
         rows = list(table_terms(direction, 200))
@@ -134,20 +143,16 @@ class TestTableTerms:
             Direction.U_IN_F: (Basis.CHEBYSHEV_U, 0),
         }.get(direction, (Basis.FIBONACCI, 1))
         last = direction.min_index - 1
-        for j, row in table_terms(direction, jmax):
+        for j, row, e in table_rows(direction, jmax):
             assert j == last + 1
             last = j
-            assert [(t.m, t.target_index) for t in row] == [(m, j - 2 * m + shift) for m in range(j // 2 + 1)]
-            scale = 1 << j
-            assert all(scale % t.coefficient.denominator == 0 for t in row), (direction, j)
+            assert len(row) == j // 2 + 1
+            assert e == (0 if direction.target_basis is Basis.FIBONACCI else j)
             for x in (1, 2):
                 target = values[x][direction.target_basis]
                 source = values[x][source_basis][j + source_shift]
-                total = sum(
-                    t.coefficient.numerator * (scale // t.coefficient.denominator) * target[t.target_index]
-                    for t in row
-                )
-                assert total == scale * source, (direction, j, x)
+                total = sum(s * target[j - 2 * m + shift] for m, s in enumerate(row))
+                assert total == source << e, (direction, j, x)
         assert last == jmax
 
 

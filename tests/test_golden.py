@@ -49,6 +49,10 @@ GOLDEN = {
     },
 }
 
+# Digests of outputs that take a second or more each, too slow for the tier-1
+# suite; the CI workflow checks them (.github/workflows/tests.yml).
+CI_ONLY = [f"table_{direction}_j900.csv.sha256" for direction in ("f-in-t", "f-in-u")]
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_fixture(name, capsys):
@@ -63,4 +67,4 @@ def test_output_matches_fixture(name, capsys):
 
 
 def test_every_fixture_is_checked():
-    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(GOLDEN)
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted([*GOLDEN, *CI_ONLY])
