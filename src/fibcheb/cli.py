@@ -1,17 +1,16 @@
 """Command-line interface: connection tables, identity sweeps, integrals.
 
 Exit codes: 0 when no check failed, 1 when any verification failed, 2 for an
-invalid invocation or a killed pool worker.  PaperErratum records (printed form
-wrong, corrected form exact) do not affect the exit code: findings, not failures.
+invalid invocation or a killed pool worker (a ValueError from ``run_sweep``).
+PaperErratum records (printed form wrong, corrected form exact) do not affect
+the exit code: findings, not failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,7 +49,9 @@ def dyadic_text(s: int, e: int) -> str:
     return str(s >> e) if t >= e else f"{s >> t}/{_power_of_two_text(e - t)}"
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="fibcheb",
         description="Exact Fibonacci-Chebyshev connection coefficients and identity verification.",
@@ -101,18 +102,22 @@ def _cmd_table(args) -> int:
         return 2
     label, shift = direction.target_basis.value, direction.target_basis.shift
     rows = table_rows(direction, args.jmax)
+    # No field can hold a comma, a quote, a backslash or a line break, so
+    # neither the CSV dialect's quoting nor JSON's escaping ever applies; in
+    # both formats each row j is joined and written on its own, so the whole
+    # table is never held at once.
+    write = sys.stdout.write
     if args.output_format == "json":
-        entries = [
-            dict(zip(TABLE_FIELDS, (j, m, f"{label}_{j - 2 * m + shift}", dyadic_text(s, e))))
-            for j, row, e in rows
-            for m, s in enumerate(row)
-        ]
-        print(json.dumps(entries, indent=2))
+        # The layout of json.dumps(entries, indent=2), one dict per entry.
+        opening = "[\n"
+        for j, row, e in rows:
+            write(opening + ",\n".join(
+                f'  {{\n    "j": {j},\n    "m": {m},\n    "target": "{label}_{j - 2 * m + shift}",\n'
+                f'    "coefficient": "{dyadic_text(s, e)}"\n  }}' for m, s in enumerate(row)
+            ))
+            opening = ",\n"
+        write("[]\n" if opening == "[\n" else "\n]\n")
     else:
-        # No field can hold a comma, a quote or a line break, so the CSV
-        # dialect's quoting never applies; each row j is joined and written
-        # on its own, so the whole table is never held at once.
-        write = sys.stdout.write
         write(",".join(TABLE_FIELDS) + "\r\n")
         for j, row, e in rows:
             write("".join(
@@ -131,7 +136,7 @@ def _cmd_verify(args) -> int:
             safety_cap=args.cap,
         )
         verdicts = runner.run_sweep(config)
-    except (ValueError, BrokenProcessPool) as exc:  # BrokenProcessPool: a worker was killed, by the OS say
+    except ValueError as exc:  # an invalid config, or a pool worker killed by the OS, say
         print(f"error: {exc}", file=sys.stderr)
         return 2
     summary = runner.summarize(config, verdicts)

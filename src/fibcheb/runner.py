@@ -14,7 +14,6 @@ import inspect
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -209,18 +208,27 @@ def settle(task: Task) -> Verdict:
 
 
 def run_sweep(config: RunConfig) -> list[Verdict]:
-    """The verdicts of every task of the configured suites, sorted by key."""
+    """The verdicts of every task of the configured suites, sorted by key.
+
+    Raises ValueError for an invalid config or a killed pool worker.
+    """
     config.validate()
     tasks = build_tasks(config)
-    if config.workers == 1:
+    # A pool may start all of its processes at once, so it never gets more
+    # than there are CPUs or tasks; the output does not depend on the count.
+    size = max(1, min(config.workers, os.cpu_count() or 1, len(tasks)))
+    if size == 1:
         verdicts = list(map(settle, tasks))
     else:
-        # A pool may start all of its processes at once, so it never gets more
-        # than there are CPUs or tasks; the output does not depend on the count.
-        size = max(1, min(config.workers, os.cpu_count() or 1, len(tasks)))
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            chunksize = len(tasks) // (size * CHUNKS_PER_WORKER) + 1
-            verdicts = list(pool.map(settle, tasks, chunksize=chunksize))
+        # Imported here, so that a command without a pool loads neither multiprocessing nor logging.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            with ProcessPoolExecutor(max_workers=size) as pool:
+                chunksize = len(tasks) // (size * CHUNKS_PER_WORKER) + 1
+                verdicts = list(pool.map(settle, tasks, chunksize=chunksize))
+        except BrokenProcessPool as exc:  # a worker was killed, by the OS say
+            raise ValueError(str(exc)) from exc
     verdicts.sort(key=lambda v: v.key)
     return verdicts
 

@@ -1,5 +1,6 @@
 """CLI behavior: output formats, exit codes, determinism."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -100,15 +101,21 @@ class TestTable:
         _, dumped, _ = run_cli(capsys, *command, "--format", "json")
         rows = [{**row, "j": int(row["j"]), "m": int(row["m"])} for row in csv.DictReader(io.StringIO(text))]
         assert len(rows) == sum(j // 2 + 1 for j in range(Direction(direction).min_index, 61))
-        assert json.loads(dumped) == rows
+        # the streamed JSON is the json module's own layout, byte for byte
+        assert dumped == json.dumps(rows, indent=2) + "\n"
 
-    def test_a_reader_that_stops_early_ends_the_table_quietly(self):
-        # the CSV is written row by row, so a closed pipe interrupts the writes
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_a_reader_that_stops_early_ends_the_table_quietly(self, output_format):
+        # both formats are written row by row, so a closed pipe interrupts the writes
         command = [sys.executable, "-m", "fibcheb.cli", "table", "--direction", "f-in-t", "--jmax", "300",
-                   "--cap", "300"]
+                   "--cap", "300", "--format", output_format]
+        head = {
+            "csv": b"j,m,target,coefficient\r\n0,0,T_0,1\r\n",
+            "json": b'[\n  {\n    "j": 0,\n    "m": 0,\n    "target": "T_0",\n    "coefficient": "1"\n  },\n',
+        }[output_format]
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-            assert proc.stdout.read(100).startswith(b"j,m,target,coefficient\r\n0,0,T_0,1\r\n")
+            assert proc.stdout.read(100).startswith(head)
             proc.stdout.close()
             assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
 
@@ -196,8 +203,12 @@ class TestVerify:
             _, out2, _ = run_cli(capsys, *args, "--workers", workers)
             assert out1 == out2, args
 
-    def test_empty_grid_on_a_pool(self, capsys):
-        # lemma starts at j = 2: no task, and still one chunk of them
+    def test_empty_grid_on_a_pool(self, capsys, monkeypatch):
+        # lemma starts at j = 2: no task, so no pool is started for --workers 2
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for an empty grid")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemma", "--jmax", "1", "--workers", "2")
         assert code == 0
         assert "result: OK (0 failing)" in out
@@ -318,7 +329,7 @@ class TestVerify:
     )
     def test_pool_is_bounded_by_cpus_and_tasks(self, monkeypatch, workers, cpus, expected):
         # a fake pool records its size and runs in this process: no real
-        # pool is ever started with a large count
+        # pool is ever started with a large count, and none of one worker
         sizes = []
 
         class RecordingPool:
@@ -334,12 +345,12 @@ class TestVerify:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
         config = runner.RunConfig(suite="lemma", jmax=6, workers=workers)
         assert len(runner.build_tasks(config)) == 9
         verdicts = runner.run_sweep(config)
-        assert sizes == [expected]
+        assert sizes == ([] if expected == 1 else [expected])
         serial = runner.run_sweep(runner.RunConfig(suite="lemma", jmax=6, workers=1))
         assert verdicts == serial
 
@@ -359,7 +370,7 @@ class TestVerify:
             def map(self, fn, tasks, chunksize=1):
                 raise BrokenProcessPool("A process in the process pool was terminated abruptly")
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
         code, out, err = run_cli(capsys, "verify", "--suite", "lemma", "--jmax", "6", "--workers", "2")
         assert code == 2
@@ -370,10 +381,18 @@ class TestVerify:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started without --workers")
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemma", "--jmax", "6")
         assert code == 0
         assert "result: OK" in out
+
+    def test_import_loads_no_pool(self):
+        # run_sweep imports the pool when it starts one; the CLI never names it
+        names = "{'concurrent.futures.process', 'multiprocessing', 'logging'}"
+        probe = f"import sys, fibcheb.cli; print(*{names} & set(sys.modules))"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        assert (loaded.returncode, loaded.stdout.split(), loaded.stderr) == (0, [], "")
 
 
 LIMITED_COMMANDS = [("table", "--direction", "f-in-t"), ("verify", "--suite", "lemma")]
