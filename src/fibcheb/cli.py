@@ -1,9 +1,9 @@
 """Command-line interface: connection tables, identity sweeps, integrals.
 
 Exit codes: 0 when no check failed, 1 when any verification failed, 2 for an
-invalid invocation or a killed pool worker (a ValueError from ``run_sweep``).
-PaperErratum records (printed form wrong, corrected form exact) do not affect
-the exit code: findings, not failures.
+invalid invocation or a killed pool worker: ``main`` turns the ValueError of
+either into one ``error:`` line.  PaperErratum records (printed form wrong,
+corrected form exact) do not affect the exit code: findings, not failures.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cap", type=int, default=runner.DEFAULT_SAFETY_CAP)
 
     integrate = sub.add_parser("integrate", help="evaluate one weighted integral")
-    integrate.add_argument("--kind", required=True, choices=list(runner.INTEGRALS))
+    integrate.add_argument("--kind", required=True, choices=list(integrals.KINDS))
     integrate.add_argument("--j", type=int, required=True)
     integrate.add_argument("--k", type=int, required=True)
 
@@ -95,11 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_table(args) -> int:
     direction = Direction(args.direction)
-    try:
-        runner.check_limits(args.cap, jmax=args.jmax)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    runner.check_limits(args.cap, jmax=args.jmax)
     label, shift = direction.target_basis.value, direction.target_basis.shift
     rows = table_rows(direction, args.jmax)
     # No field can hold a comma, a quote, a backslash or a line break, so
@@ -127,18 +123,14 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        config = runner.RunConfig(
-            suite=args.suite,
-            jmax=args.jmax,
-            qmax=args.qmax,
-            workers=args.workers,
-            safety_cap=args.cap,
-        )
-        verdicts = runner.run_sweep(config)
-    except ValueError as exc:  # an invalid config, or a pool worker killed by the OS, say
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = runner.RunConfig(
+        suite=args.suite,
+        jmax=args.jmax,
+        qmax=args.qmax,
+        workers=args.workers,
+        safety_cap=args.cap,
+    )
+    verdicts = runner.run_sweep(config)
     summary = runner.summarize(config, verdicts)
     if args.output_format == "json":
         sys.stdout.write(runner.render_json(summary))
@@ -148,21 +140,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    _, evaluate = runner.INTEGRALS[args.kind]
-    try:
-        value, report = evaluate(args.j, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _, evaluate = integrals.KINDS[args.kind]
+    value, report = evaluate(args.j, args.k)
+    printed = integrals.audited_printed_value(value, report)
     print(f"oracle: {value.to_text()}")
-    printed = next((c for c in report.checks if c.name == "printed-vs-oracle"), None)
-    if printed is not None:
-        print(f"printed: {printed.lhs.to_text()}")
-    elif report.printed_residual is not None:
-        offset = value + integrals.PiMultiple(report.printed_residual)
-        print(f"printed: {offset.to_text()}")
-    else:
-        print("printed: unevaluable")
+    print(f"printed: {'unevaluable' if printed is None else printed.to_text()}")
     print(f"status: {report.status.value}")
     if report.note:
         print(f"note: {report.note}")
@@ -171,26 +153,34 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_eval(args) -> int:
     series = Hyp2F1(args.a, args.b, args.c, args.z)
-    try:
-        runner.check_limits(args.cap, termination_index=series.termination_index())
-        value = eval_2f1(series)
-    except ValueError as exc:  # NonTerminatingError, ZeroDenominatorError, a limit: invalid inputs
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(value)
+    runner.check_limits(args.cap, termination_index=series.termination_index())
+    print(eval_2f1(series))
     return 0
 
 
+# The handler of each command, looked up when called, so a replaced module
+# attribute (a tracing wrapper, say) is honored.
+COMMANDS = {
+    "table": lambda args: _cmd_table(args),
+    "verify": lambda args: _cmd_verify(args),
+    "integrate": lambda args: _cmd_integrate(args),
+    "eval": lambda args: _cmd_eval(args),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "table":
-        return _cmd_table(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "integrate":
-        return _cmd_integrate(args)
-    return _cmd_eval(args)
+    """Run one command and return its exit code.
+
+    A handler raises ValueError only for invalid input or a broken pool, and
+    only before it writes output.  Each such error ends here, as one
+    ``error: <message>`` line on stderr and exit code 2.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return COMMANDS[args.command](args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry_point() -> None:

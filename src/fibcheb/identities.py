@@ -2,7 +2,7 @@
 
 Each verifier evaluates a printed closed-form identity exactly and compares
 it against an independent oracle (the integer Fibonacci recurrence, formal
-differentiation, or direct polynomial evaluation).  Two printed forms are
+differentiation, or direct polynomial evaluation).  Three printed forms are
 known errata; for those the verbatim form and the theorem-consistent
 correction are both computed and the report records both residuals:
 

@@ -331,40 +331,49 @@ def integral_fib_cheb_u(j: int, k: int) -> tuple[PiMultiple, Report]:
     return value, report
 
 
-def integral_fib_fib(
-    j: int,
-    k: int,
-    weight: Weight,
-    first_kind_interpretation: Optional[Callable[[int], Fraction]] = None,
-) -> tuple[PiMultiple, Report]:
+def integral_fib_fib(j: int, k: int, weight: Weight) -> tuple[PiMultiple, Report]:
     """Weighted integral of F_{j+1} F_{k+1}; oracle value plus audit.
 
     Second kind: the published double-series pairs equal target degrees only
     on the diagonal, so it is compared at j = k and reported Unevaluable as a
     comparison elsewhere.  First kind: the published sum contains the
-    undefined symbol d_m and is evaluated only when the caller supplies an
-    interpretation for it; otherwise the comparison is Unevaluable.  The
-    oracle value is returned in every case.
+    undefined symbol d_m, so the comparison is always Unevaluable
+    (``printed_fib_fib_first`` evaluates it under a chosen reading of d_m).
+    The oracle value is returned in every case.
     """
     value, checks, note = _oracle_checks(j, k, Basis.FIBONACCI, weight)
-
-    if weight is Weight.SECOND_KIND:
-        identity = "int-FF2"
-        if j == k:
-            checks.append(Check("printed-vs-oracle", printed_fib_fib_second(j, k), value))
-            status = None
-        else:
-            status = Status.UNEVALUABLE if all(c.ok for c in checks) else None
-            note = f"printed form compared only at j = k; {note}"
+    second = weight is Weight.SECOND_KIND
+    status = None
+    if second and j == k:
+        checks.append(Check("printed-vs-oracle", printed_fib_fib_second(j, k), value))
     else:
-        identity = "int-FF1"
-        if first_kind_interpretation is not None:
-            printed = printed_fib_fib_first(j, k, first_kind_interpretation)
-            checks.append(Check("printed-vs-oracle", printed, value))
-            status = None
-        else:
-            status = Status.UNEVALUABLE if all(c.ok for c in checks) else None
-            note = f"printed form contains the undefined symbol d_m; {note}"
-
+        status = Status.UNEVALUABLE if all(c.ok for c in checks) else None
+        reason = "compared only at j = k" if second else "contains the undefined symbol d_m"
+        note = f"printed form {reason}; {note}"
+    identity = "int-FF2" if second else "int-FF1"
     report = make_report(identity, {"j": j, "k": k}, checks, note=note, status=status)
     return value, report
+
+
+# The four integrals: kind (the ``integrate --kind`` choice) -> (the identity
+# its report carries, evaluator returning the oracle value and the report).
+# Each evaluator looks its function up when called, so a replaced module
+# attribute (a tracing wrapper, say) is honored.
+KINDS = {
+    "ft": ("int-FT", lambda j, k: integral_fib_cheb_t(j, k)),
+    "fu": ("int-FU", lambda j, k: integral_fib_cheb_u(j, k)),
+    "ff1": ("int-FF1", lambda j, k: integral_fib_fib(j, k, Weight.FIRST_KIND)),
+    "ff2": ("int-FF2", lambda j, k: integral_fib_fib(j, k, Weight.SECOND_KIND)),
+}
+
+
+def audited_printed_value(value: PiMultiple, report: Report) -> Optional[PiMultiple]:
+    """The printed value that ``report``, of an integral of oracle ``value``, audited, or None.
+
+    A report audits the printed form either as its printed-vs-oracle check or
+    as a printed residual; None means it compared no printed value.
+    """
+    printed = next((c.lhs for c in report.checks if c.name == "printed-vs-oracle"), None)
+    if printed is None and report.printed_residual is not None:
+        printed = value + PiMultiple(report.printed_residual)
+    return printed

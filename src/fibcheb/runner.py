@@ -67,7 +67,8 @@ def check_limits(cap: int, **values: int) -> None:
 # SUITES maps each suite to its task grid over (jmax, qmax), in emission
 # order, and FAMILIES maps each family, the identity its verifier reports, to
 # that verifier, looked up when called, so a replaced module attribute (a
-# tracing wrapper, say) is honored.
+# tracing wrapper, say) is honored.  ``integrals.KINDS`` declares the four
+# integral families.
 # ---------------------------------------------------------------------------
 
 Task = tuple
@@ -115,15 +116,6 @@ def _run_connection(j: int, direction: str) -> Report:
     return make_report("connection", {"j": j, "direction": direction.value}, checks)
 
 
-# The ``integrate --kind`` choices: kind -> (task family, evaluator returning
-# the oracle value and the report).
-INTEGRALS = {
-    "ft": ("int-FT", lambda j, k: integrals.integral_fib_cheb_t(j, k)),
-    "fu": ("int-FU", lambda j, k: integrals.integral_fib_cheb_u(j, k)),
-    "ff1": ("int-FF1", lambda j, k: integrals.integral_fib_fib(j, k, integrals.Weight.FIRST_KIND)),
-    "ff2": ("int-FF2", lambda j, k: integrals.integral_fib_fib(j, k, integrals.Weight.SECOND_KIND)),
-}
-
 FAMILIES = {
     "cor5.1-T": lambda j: identities.verify_cor_sum_T(j),
     "cor5.1-U": lambda j: identities.verify_cor_sum_U(j),
@@ -138,7 +130,7 @@ FAMILIES = {
     "connection": _run_connection,
     **{
         family: (lambda j, k, evaluate=evaluate: evaluate(j, k)[1])
-        for family, evaluate in INTEGRALS.values()
+        for family, evaluate in integrals.KINDS.values()
     },
 }
 
@@ -170,7 +162,7 @@ SUITES = {
         (family, j, k)
         for j in range(jmax + 1)
         for k in range(j + 1)
-        for family, _ in INTEGRALS.values()
+        for family, _ in integrals.KINDS.values()
     ],
 }
 

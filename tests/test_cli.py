@@ -158,9 +158,8 @@ class TestIntegrate:
         assert "status: Unevaluable" in out
 
     def test_k_above_j_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "integrate", "--kind", "ft", "--j", "1", "--k", "2")
-        assert code == 2
-        assert "j >= k" in err
+        rejected = (2, "", "error: requires j >= k >= 0, got j=1, k=2\n")
+        assert run_cli(capsys, "integrate", "--kind", "ft", "--j", "1", "--k", "2") == rejected
 
 
 class TestVerify:
@@ -425,6 +424,17 @@ def test_readme_command_lines_run(capsys):
         assert code == 0, argv
         if argv[0] == "eval":
             assert out == "11/3\n"
+
+
+def test_readme_library_tour_reprs():
+    # each expression's repr is its comment, up to the first run of two or more spaces
+    block = re.search(r"^## Library tour\n+```python\n(.*?)^```", README.read_text(), re.M | re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    pairs = re.findall(r"^([^#\s].*)\n# (.+?)(?: {2,}|$)", block, re.M)
+    assert len(pairs) == 3
+    for expression, comment in pairs:
+        assert repr(eval(expression, namespace)) == comment, expression
 
 
 def test_readme_suite_list_matches_registry():
