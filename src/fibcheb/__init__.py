@@ -51,6 +51,7 @@ from .integrals import (
     quadrature_deviation,
     weighted_integral,
     weighted_integral_by_expansion,
+    weighted_integral_by_moments,
 )
 from .polynomials import Polynomial
 from .report import Check, Report, Status, Verdict
@@ -135,4 +136,5 @@ __all__ = [
     "verify_trig_identity",
     "weighted_integral",
     "weighted_integral_by_expansion",
+    "weighted_integral_by_moments",
 ]

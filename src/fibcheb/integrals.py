@@ -2,11 +2,19 @@
 
 Every closed-form integral here is a rational multiple of pi, kept symbolic
 as a PiMultiple so comparisons stay exact.  Two fully independent exact routes
-give the value (closed monomial moments of the product, and each factor's
-expansion in the matching Chebyshev basis followed by orthogonality), and a
-Gauss-Chebyshev quadrature on the factors' own float recurrences is a third,
-non-exact check.  The published closed forms are evaluated alongside and
-compared against the oracle value, which is always the one returned.
+give the value (closed monomial moments, and each factor's expansion in the
+matching Chebyshev basis followed by orthogonality), and a Gauss-Chebyshev
+quadrature on the factors' own float recurrences is a third, non-exact check.
+The published closed forms are evaluated alongside and compared against the
+oracle value, which is always the one returned.
+
+The pairs of a sweep come row by row: F_{j+1} times each P_k, k <= j.  What
+depends on the row alone is kept in a small cache keyed by the row factor
+and the weight (``_Row``): F_{j+1}'s integer moment vector, one dot product
+per pair, and one Gauss-Chebyshev rule of j + 1 nodes, exact for every
+product of the row, with F_{j+1} valued at its nodes once and the second
+factor advanced one recurrence step per k.  Each is filled only as far as
+the pairs asked for need.
 """
 
 from __future__ import annotations
@@ -16,13 +24,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, Iterator, Optional
 
 from .connection import Direction, oracle_expand, terms
 from .hypergeometric import hyp2f1
 from .polynomials import Polynomial
 from .report import Check, Report, Status, make_report
-from .scalars import RationalLike, binomial, double_factorial
+from .scalars import RationalLike, binomial
 from .sequences import Basis, c_norm
 
 
@@ -85,15 +94,16 @@ ZERO_PI = PiMultiple(0)
 def even_moment(n: int, weight: Weight) -> Fraction:
     """Coefficient of pi in the moment integral of x^(2n) against the weight.
 
-    First kind:  (2n-1)!! / (2n)!!        Second kind:  (2n-1)!! / (2n+2)!!
+    First kind:  C(2n, n) / 4^n        Second kind:  Catalan(n) / 2^(2n+1)
 
-    with (-1)!! = 1.  Odd moments vanish by symmetry.
+    that is (2n-1)!!/(2n)!! and (2n-1)!!/(2n+2)!!, both with a power-of-two
+    denominator.  Odd moments vanish by symmetry.
     """
     if n < 0:
         raise ValueError(f"moment order must be >= 0, got {n}")
     if weight is Weight.FIRST_KIND:
-        return Fraction(double_factorial(2 * n - 1), double_factorial(2 * n))
-    return Fraction(double_factorial(2 * n - 1), double_factorial(2 * n + 2))
+        return Fraction(binomial(2 * n, n), 4**n)
+    return Fraction(binomial(2 * n, n) // (n + 1), 2 * 4**n)
 
 
 def weighted_integral(p: Polynomial, weight: Weight) -> PiMultiple:
@@ -143,12 +153,29 @@ def quadrature_nodes(weight: Weight, count: int) -> list[tuple[float, float]]:
 Factor = tuple[Basis, int]
 
 
+def _degree(factor: Factor) -> int:
+    basis, index = factor
+    return index - basis.shift
+
+
 @lru_cache(maxsize=None)
-def _expansion_over(factor: Factor, weight: Weight) -> dict[int, Fraction]:
-    """The nonzero coefficients of ``factor`` over T (first kind) or U (second kind), by elimination."""
+def _expansion_over(factor: Factor, weight: Weight) -> tuple[dict[int, int], int]:
+    """(nums, den): ``factor`` over T (first kind) or U (second kind), by elimination.
+
+    The nonzero coefficients are nums[n] / den, with den their least common
+    denominator: a power of two for every family member, since x^n is
+    2^(1-n) (first kind) or 2^-n (second kind) times an integer combination.
+    """
     basis, index = factor
     target = Basis.CHEBYSHEV_T if weight is Weight.FIRST_KIND else Basis.CHEBYSHEV_U
-    return {n: c for n, c in oracle_expand(basis.member(index), target) if c}
+    pairs = oracle_expand(basis.member(index), target)
+    den = math.lcm(*(c.denominator for _, c in pairs))
+    nums = {}
+    while pairs:  # each Fraction is dropped as its numerator is made, which keeps the peak down
+        n, c = pairs.pop()
+        if c:
+            nums[n] = c.numerator * (den // c.denominator)
+    return nums, den
 
 
 def weighted_integral_by_expansion(factors: tuple[Factor, Factor], weight: Weight) -> PiMultiple:
@@ -156,53 +183,153 @@ def weighted_integral_by_expansion(factors: tuple[Factor, Factor], weight: Weigh
 
     With a_n, b_n the factors' coefficients over the basis matched to the
     weight, the integral is (pi/2) sum a_n b_n, plus (pi/2) a_0 b_0 for the
-    first kind, whose T_0 has norm pi.  Independent of the moment route: no
-    product polynomial is built.
+    first kind, whose T_0 has norm pi.  The sum runs on the integer
+    numerators and is reduced once.  Independent of the moment route: no
+    product polynomial and no moment is built.
     """
-    a, b = (_expansion_over(factor, weight) for factor in factors)
-    total = sum((c * b[n] for n, c in a.items() if n in b), Fraction(0))
+    (a, a_den), (b, b_den) = (_expansion_over(factor, weight) for factor in factors)
+    total = sum(c * b[n] for n, c in a.items() if n in b)
     if weight is Weight.FIRST_KIND:
         total += a.get(0, 0) * b.get(0, 0)
-    return PiMultiple(total / 2)
+    return PiMultiple(Fraction(total, 2 * a_den * b_den))
 
 
-def _member_at_nodes(basis: Basis, index: int, xs: list[float]) -> tuple[list[float], int]:
-    """(values, e): member ``index`` of ``basis`` at floats xs (descending, >= 0) by its recurrence is values * 2^e.
+def _members_at_nodes(basis: Basis, xs: list[float]) -> Iterator[tuple[list[float], int]]:
+    """(values, e) for index 0, 1, 2, ...: each member of ``basis`` at floats xs is values * 2^e.
 
-    F_n, of nonnegative coefficients, is largest at xs[0]; whenever that
-    passes 2^500 all values are scaled by 2^-500, so a product of two stays in
-    the float range.  |T_n|, |U_n| <= n + 1; P_{n+1} = 2x P_n - P_{n-1} runs on
+    One recurrence step per index; the xs are descending and >= 0.  F_n, of
+    nonnegative coefficients, is largest at xs[0]; whenever that passes 2^500
+    all values are scaled by 2^-500, so a product of two stays in the float
+    range.  |T_n|, |U_n| <= n + 1; P_{n+1} = 2x P_n - P_{n-1} runs on
     differences (Reinsch), P_{n+1} - P_n = P_n - P_{n-1} + 2(x - 1) P_n, whose
     rounding error near x = 1 grows about like n, not n^2 / sin t.
     """
     if basis is Basis.FIBONACCI:
         prev, cur, e = [1.0] * len(xs), [0.0] * len(xs), 0  # F_{-1}, F_0
-        for _ in range(index):
+        while True:
+            yield cur, e
             prev, cur = cur, [x * a + b for x, a, b in zip(xs, cur, prev)]
             if cur[0] > 2.0**500:
                 prev, cur, e = [v * 2.0**-500 for v in prev], [v * 2.0**-500 for v in cur], e + 500
-        return cur, e
     cur, steps = [1.0] * len(xs), [2 * (x - 1) for x in xs]
     diff = [1 - x for x in xs] if basis is Basis.CHEBYSHEV_T else cur  # P_0 - P_{-1}
-    for _ in range(index):
+    while True:
+        yield cur, 0
         diff = [d + c * a for d, c, a in zip(diff, steps, cur)]
         cur = [a + d for a, d in zip(cur, diff)]
-    return cur, 0
+
+
+def _member_at_nodes(basis: Basis, index: int, xs: list[float]) -> tuple[list[float], int]:
+    """(values, e): member ``index`` of ``basis`` at xs is values * 2^e, by ``_members_at_nodes``."""
+    return next(islice(_members_at_nodes(basis, xs), index, None))
+
+
+class _Row:
+    """What the pairs of one row factor P (F_{j+1} in a sweep) and one weight share.
+
+    With d the degree of P: the moments v[i] = 2^(2d+1) den(P) int P x^i w / pi,
+    integers because each even moment's denominator divides 2^(2d+1), each
+    computed when a pair first needs it; and the Gauss-Chebyshev rule of d + 1
+    nodes, exact for degree <= 2d + 1 and so for P times any factor of degree
+    <= d, with P valued at its nodes once and each second basis by a running
+    recurrence, advanced one step per index and only as far as asked.
+    """
+
+    def __init__(self, factor: Factor, weight: Weight):
+        self.factor, self.weight = factor, weight
+        self.degree = _degree(factor)
+        self.nums, self.den = factor[0].member(factor[1]).integer_form()
+        self.moments: dict[int, int] = {}  # i -> v[i]
+        self._numerators: list[int] = []  # n -> 2^(2n+1) even_moment(n)
+        self.nodes = quadrature_nodes(weight, max(self.degree, 0) + 1)
+        self.xs = [x for x, _ in self.nodes]
+        self._values: Optional[tuple[list[float], int]] = None
+        self._running: dict[Basis, list] = {}  # basis -> [index, iterator, (values, e)]
+
+    def moment(self, i: int) -> int:
+        """v[i]: the sum over l of nums[l] 2^(2d+1) even_moment(n), n = (l + i) / 2, l + i even.
+
+        2^(2d+1) even_moment(n) is a[n] 4^(d-n) with a[n] = 2^(2n+1) even_moment(n)
+        the integer kept (about 2n bits, where the scaled moment has 2d), so
+        the sum is one Horner pass in powers of 4 over the terms nums[l] a[n].
+        """
+        v = self.moments.get(i)
+        if v is None:
+            low = i % 2
+            first = (low + i) // 2
+            last = (len(self.nums) - 1 + i) // 2
+            for n in range(len(self._numerators), last + 1):
+                m = even_moment(n, self.weight)
+                self._numerators.append(m.numerator << (2 * n + 2 - m.denominator.bit_length()))
+            acc = 0
+            for c, a in zip(self.nums[low::2], self._numerators[first:last + 1]):
+                acc = (acc << 2) + c * a
+            v = self.moments[i] = acc << 2 * (self.degree - last)
+        return v
+
+    def integral(self, factor: Factor) -> PiMultiple:
+        """The weighted integral of P times ``factor``: one integer dot product with v, reduced once."""
+        nums, den = factor[0].member(factor[1]).integer_form()
+        if not (nums and self.nums):
+            return ZERO_PI
+        total = sum(c * self.moment(i) for i, c in enumerate(nums) if c)
+        return PiMultiple(Fraction(total, (den * self.den) << (2 * self.degree + 1)))
+
+    def _at_nodes(self, factor: Factor) -> tuple[list[float], int]:
+        basis, index = factor
+        state = self._running.get(basis)
+        if state is None or state[0] > index:
+            state = self._running[basis] = [-1, _members_at_nodes(basis, self.xs), None]
+        while state[0] < index:
+            state[0], state[2] = state[0] + 1, next(state[1])
+        return state[2]
+
+    def quadrature_terms(self, factor: Factor) -> tuple[list[float], int]:
+        """(terms, e): the terms w p(x) of the row's rule for p = P times ``factor``, over 2^e."""
+        if self._values is None:
+            self._values = _member_at_nodes(*self.factor, self.xs)
+        (first, e), (second, f) = self._values, self._at_nodes(factor)
+        half = [w * (u * v) for (_, w), u, v in zip(self.nodes, first, second)]
+        sign = -1.0 if (self.degree + _degree(factor)) % 2 else 1.0  # p(-x) = sign p(x)
+        return half + [sign * t for (x, _), t in zip(self.nodes, half) if x], e + f  # x = 0 counts once
+
+
+@lru_cache(maxsize=8)
+def _row(factor: Factor, weight: Weight) -> _Row:
+    """The row of ``factor`` under ``weight``; a sweep's tasks come row by row, so a few rows suffice."""
+    return _Row(factor, weight)
+
+
+def _split(factors: tuple[Factor, Factor], weight: Weight) -> tuple[_Row, Factor]:
+    """The row of the factor of larger degree (the first on a tie), and the other factor."""
+    first, second = factors
+    if _degree(second) > _degree(first):
+        first, second = second, first
+    return _row(first, weight), second
+
+
+def weighted_integral_by_moments(factors: tuple[Factor, Factor], weight: Weight) -> PiMultiple:
+    """Exact weighted integral of the product of two (basis, index) factors, by moments.
+
+    The row of the factor of larger degree holds its integer moment vector,
+    and the integral is its dot product with the other factor's numerators.
+    Independent of the expansion route, and no product polynomial is built.
+    """
+    row, other = _split(factors, weight)
+    return row.integral(other)
 
 
 def _quadrature_terms(factors: tuple[Factor, Factor], weight: Weight) -> tuple[list[float], int]:
-    """(terms, e): the terms w p(x) of the least exact rule for p, the product of ``factors``, over 2^e."""
-    degree = sum(index - basis.shift for basis, index in factors)
-    nodes = quadrature_nodes(weight, max((degree + 2) // 2, 1))
-    xs = [x for x, _ in nodes]
-    (first, e), (second, f) = (_member_at_nodes(basis, index, xs) for basis, index in factors)
-    half = [w * (u * v) for (_, w), u, v in zip(nodes, first, second)]
-    sign = -1.0 if degree % 2 else 1.0  # p(-x) = sign p(x); the midpoint x = 0 counts once
-    return half + [sign * t for (x, _), t in zip(nodes, half) if x], e + f
+    """(terms, e): the terms w p(x) of the row's rule for p, the product of ``factors``, over 2^e."""
+    row, other = _split(factors, weight)
+    return row.quadrature_terms(other)
 
 
 def quadrature_check(factors: tuple[Factor, Factor], weight: Weight) -> float:
-    """Gauss-Chebyshev quadrature of the matching kind of the product of two (basis, index) factors."""
+    """Gauss-Chebyshev quadrature of the matching kind of the product of two (basis, index) factors.
+
+    The rule is the row's: one more node than the larger degree of the two.
+    """
     terms, e = _quadrature_terms(factors, weight)
     return math.ldexp(math.fsum(terms), e)
 
@@ -288,9 +415,10 @@ def _oracle_checks(j: int, k: int, basis: Basis, weight: Weight) -> tuple[PiMult
     if j < k or k < 0:
         raise ValueError(f"requires j >= k >= 0, got j={j}, k={k}")
     factors = ((Basis.FIBONACCI, j + 1), (basis, k + basis.shift))
-    first, second = (b.member(index) for b, index in factors)
-    by_moments = weighted_integral(first * second, weight)
+    # the expansion route first: its elimination is the peak of a large pair's
+    # memory, and the row's moments are not yet held then
     by_expansion = weighted_integral_by_expansion(factors, weight)
+    by_moments = weighted_integral_by_moments(factors, weight)
     checks = [Check("moments-vs-expansion", by_moments, by_expansion)]
     rel = quadrature_deviation(factors, weight, by_moments)
     note = f"quadrature rel err {rel!r}"

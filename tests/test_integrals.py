@@ -1,6 +1,8 @@
 """Weighted integrals: dual exact oracles, quadrature, printed-form audits."""
 
+import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,8 +25,10 @@ from fibcheb import (
     quadrature_deviation,
     weighted_integral,
     weighted_integral_by_expansion,
+    weighted_integral_by_moments,
 )
-from fibcheb import binomial, c_norm, hyp2f1, integrals
+from fibcheb import binomial, c_norm, hyp2f1, integrals, runner, sequences
+from fibcheb.cli import main
 from fibcheb.integrals import QUADRATURE_REL_TOL, _member_at_nodes, quadrature_nodes
 
 rational_polys = st.lists(
@@ -184,14 +188,15 @@ class TestQuadrature:
         st.sampled_from(list(Weight)),
     )
     def test_agrees_with_the_moment_integral(self, j, k, basis, weight):
-        # the least exact rule: the node values' rounding is all that separates
-        # the rule from the integral, and from the full rule valued exactly
+        # the row's rule, one node more than the larger factor degree, is exact:
+        # the node values' rounding is all that separates the rule from the
+        # integral, and from the full rule valued exactly
         factors = ((F, j + 1), (basis, k))
         p = product(factors)
         value = quadrature_check(factors, weight)
         scale = max(1.0, math.pi * float(F.member(j + 1)(1)) * float(basis.member(k)(1)))
         assert abs(value - float(weighted_integral(p, weight))) <= 1e-12 * scale
-        count = max((p.degree + 2) // 2, 1)
+        count = max(j, k - basis.shift) + 1
         assert abs(value - reference_quadrature(p, weight, count)) <= 1e-12 * scale
 
     def test_odd_integrand_is_exactly_zero(self):
@@ -222,11 +227,20 @@ class TestQuadrature:
     def test_scaling_keeps_the_unscaled_ratio(self, monkeypatch):
         # each factor 2^-10 * 2^500 at the one node (x = 0, w = pi): the scaled
         # mass pi 2^-20 is below 1, the unscaled one pi 2^980 above it
-        monkeypatch.setattr(integrals, "_member_at_nodes", lambda basis, index, xs: ([2.0**-10] * len(xs), 500))
-        factors = ((F, 1), (T, 0))
-        assert quadrature_check(factors, Weight.FIRST_KIND) == math.pi * 2.0**980
-        # |pi 2^980 - pi 2^979| / max(1, pi 2^980)
-        assert quadrature_deviation(factors, Weight.FIRST_KIND, PiMultiple(2**979)) == 0.5
+        def members(basis, xs):
+            while True:
+                yield [2.0**-10] * len(xs), 500
+
+        monkeypatch.setattr(integrals, "_members_at_nodes", members)
+        # a row keeps the values it was given: none from before the patch, none after it
+        integrals._row.cache_clear()
+        try:
+            factors = ((F, 1), (T, 0))
+            assert quadrature_check(factors, Weight.FIRST_KIND) == math.pi * 2.0**980
+            # |pi 2^980 - pi 2^979| / max(1, pi 2^980)
+            assert quadrature_deviation(factors, Weight.FIRST_KIND, PiMultiple(2**979)) == 0.5
+        finally:
+            integrals._row.cache_clear()
 
     @pytest.mark.parametrize("basis", list(Basis))
     def test_member_values_match_the_rounded_exact_values(self, basis):
@@ -239,6 +253,84 @@ class TestQuadrature:
             assert e == 0  # F_301(1) is about 2^208, below the scaling threshold
             largest = max(map(abs, exact))
             assert all(abs(math.ldexp(v, e) - w) <= 1e-12 * largest for v, w in zip(values, exact))
+
+
+QUADRATURE_NOTE = re.compile(r"quadrature rel err (\S+)")
+
+# the (second basis, weight) of each integral kind
+KIND_FACTORS = {"ft": (T, Weight.FIRST_KIND), "fu": (U, Weight.SECOND_KIND),
+                "ff1": (F, Weight.FIRST_KIND), "ff2": (F, Weight.SECOND_KIND)}
+
+
+class TestRowCache:
+    def test_moments_equal_the_product_integral(self):
+        # the row's moment vector against the general routine on the product polynomial
+        for j in range(41):
+            for basis in Basis:
+                for k in range(j + 1):
+                    factors = ((F, j + 1), (basis, k + basis.shift))
+                    p = product(factors)
+                    for weight in Weight:
+                        assert weighted_integral_by_moments(factors, weight) == weighted_integral(p, weight), (
+                            j, k, basis, weight)
+
+    def test_deviations_within_1e_12(self):
+        for j in range(61):
+            for basis in Basis:
+                for k in range(j + 1):
+                    factors = ((F, j + 1), (basis, k + basis.shift))
+                    for weight in Weight:
+                        exact = weighted_integral_by_moments(factors, weight)
+                        assert quadrature_deviation(factors, weight, exact) <= 1e-12, (j, k, basis, weight)
+
+    def test_integrate_and_verify_report_the_same_deviation(self, capsys):
+        # verify runs the tasks row by row on warm rows; integrate runs one pair on a cold row
+        sweep = {}
+        for task in runner.build_tasks(runner.RunConfig(suite="integrals", jmax=12)):
+            report = runner.execute_task(task)
+            sweep[(report.identity, *task[1:])] = QUADRATURE_NOTE.search(report.note).group(1)
+        assert main(["verify", "--suite", "integrals", "--jmax", "12", "--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert records
+        for record in records:
+            params = dict(record["params"])
+            key = (record["identity"], int(params["j"]), int(params["k"]))
+            assert QUADRATURE_NOTE.search(record["note"]).group(1) == sweep[key]
+        for kind, (identity, _) in integrals.KINDS.items():
+            for j in range(13):
+                for k in range(j + 1):
+                    integrals._row.cache_clear()
+                    main(["integrate", "--kind", kind, "--j", str(j), "--k", str(k)])
+                    assert QUADRATURE_NOTE.search(capsys.readouterr().out).group(1) == sweep[(identity, j, k)]
+
+    @pytest.mark.parametrize("kind", sorted(KIND_FACTORS))
+    def test_fills_only_as_far_as_asked(self, kind, monkeypatch):
+        basis, weight = KIND_FACTORS[kind]
+        j = 30
+        constructors = {F: "fibonacci_poly", T: "chebyshev_t", U: "chebyshev_u"}
+        requested = []
+        for name in constructors.values():
+            original = getattr(sequences, name)
+            monkeypatch.setattr(
+                sequences, name, lambda n, name=name, original=original: requested.append((name, n)) or original(n)
+            )
+        integrals._row.cache_clear()
+        supports = set()
+        for k in (0, 5, 12, 12, 7):
+            second = (basis, k + basis.shift)
+            # the expansion route reads every member of its target basis up to
+            # degree j; it is its own route, so it runs before the count
+            weighted_integral_by_expansion(((F, j + 1), second), weight)
+            requested.clear()
+            integrals._oracle_checks(j, k, basis, weight)
+            # the only members asked for: the row factor F_{j+1}, and the second factor
+            assert set(requested) <= {("fibonacci_poly", j + 1), (constructors[basis], k + basis.shift)}, k
+            row = integrals._row((F, j + 1), weight)
+            nums, _ = basis.member(k + basis.shift).integer_form()
+            supports |= {i for i, c in enumerate(nums) if c}
+            assert set(row.moments) == supports, k
+            index, _, _ = row._running[basis]
+            assert index == k + basis.shift
 
 
 class TestFibonacciChebyshevFirstKind:
