@@ -111,7 +111,7 @@ def _coefficient(j: int, m: int, direction: Direction) -> Fraction:
         Fraction(1, 2**j)
         * binomial(j, m)
         * Fraction(j - 2 * m + 1, j - m + 1)
-        * hyp2f1(-m, -j + m - 1, -j, -4)
+        * d_coefficient(j, m)
     )
 
 
@@ -218,7 +218,7 @@ def oracle_expand(p: Polynomial, basis: Basis) -> list[tuple[int, Fraction]]:
 
 
 def d_coefficient(j: int, m: int) -> Fraction:
-    """The inner series value 2F1(-m, -j+m-1; -j; -4) used by the recurrence check."""
+    """The inner series value 2F1(-m, -j+m-1; -j; -4) of the F-in-U coefficients, d(j, m)."""
     return hyp2f1(-m, -j + m - 1, -j, -4)
 
 

@@ -49,7 +49,9 @@ class PiMultiple:
     coefficient: Fraction
 
     def __init__(self, coefficient: RationalLike):
-        object.__setattr__(self, "coefficient", Fraction(coefficient))
+        if not isinstance(coefficient, Fraction):
+            coefficient = Fraction(coefficient)
+        object.__setattr__(self, "coefficient", coefficient)
 
     def __add__(self, other: "PiMultiple") -> "PiMultiple":
         if not isinstance(other, PiMultiple):

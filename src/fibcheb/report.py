@@ -43,15 +43,14 @@ class Check:
 
 
 class Verdict(NamedTuple):
-    """What a sweep keeps of one report: its sort key, identity and status
-    value, and its ``to_dict()`` record when the status is not Pass (else None).
+    """What a sweep keeps of one report: its identity and status value, and
+    its ``to_dict()`` record when the status is not Pass (else None).
 
     It is made of strings alone, so a pool worker sends it back without the
     report's exact values: the parent rebuilds no ``Fraction`` or
     ``Polynomial`` when it unpickles one.
     """
 
-    key: tuple
     identity: str
     status: str
     record: dict | None
@@ -72,12 +71,9 @@ class Report:
     # "<Type>: <message>" of the exception a verifier raised instead of reporting
     error: str = ""
 
-    def sort_key(self) -> tuple:
-        return (self.identity, tuple((k, _display(v)) for k, v in self.params))
-
     def verdict(self) -> Verdict:
         record = None if self.status is Status.PASS else self.to_dict()
-        return Verdict(self.sort_key(), self.identity, self.status.value, record)
+        return Verdict(self.identity, self.status.value, record)
 
     def to_dict(self) -> dict:
         out = {

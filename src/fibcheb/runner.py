@@ -2,10 +2,11 @@
 
 Tasks are pure and independent, so they may be fanned out over a process
 pool.  Every task is settled where it runs, in the calling process or in a
-pool worker, into a ``Verdict``: the report's sort key, identity, status and,
-for a non-Pass report only, its JSON record.  The verdicts are sorted by
-identity and parameters, which makes the emitted report byte-identical
-regardless of worker count.
+pool worker, into a ``Verdict``: the report's identity, status and, for a
+non-Pass report only, its JSON record.  The verdicts keep the order of the
+tasks (suites in ``SUITES`` order, each grid in its own numeric order), which a
+pool keeps too, so the emitted report is byte-identical regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def settle(task: Task) -> Verdict:
 
 
 def run_sweep(config: RunConfig) -> list[Verdict]:
-    """The verdicts of every task of the configured suites, sorted by key.
+    """The verdicts of every task of the configured suites, in ``build_tasks`` order.
 
     Raises ValueError for an invalid config or a killed pool worker.
     """
@@ -210,19 +211,16 @@ def run_sweep(config: RunConfig) -> list[Verdict]:
     # than there are CPUs or tasks; the output does not depend on the count.
     size = max(1, min(config.workers, os.cpu_count() or 1, len(tasks)))
     if size == 1:
-        verdicts = list(map(settle, tasks))
-    else:
-        # Imported here, so that a command without a pool loads neither multiprocessing nor logging.
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        try:
-            with ProcessPoolExecutor(max_workers=size) as pool:
-                chunksize = len(tasks) // (size * CHUNKS_PER_WORKER) + 1
-                verdicts = list(pool.map(settle, tasks, chunksize=chunksize))
-        except BrokenProcessPool as exc:  # a worker was killed, by the OS say
-            raise ValueError(str(exc)) from exc
-    verdicts.sort(key=lambda v: v.key)
-    return verdicts
+        return list(map(settle, tasks))
+    # Imported here, so that a command without a pool loads neither multiprocessing nor logging.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            chunksize = len(tasks) // (size * CHUNKS_PER_WORKER) + 1
+            return list(pool.map(settle, tasks, chunksize=chunksize))
+    except BrokenProcessPool as exc:  # a worker was killed, by the OS say
+        raise ValueError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
