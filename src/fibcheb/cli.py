@@ -133,7 +133,10 @@ def _cmd_verify(args) -> int:
     verdicts = runner.run_sweep(config)
     summary = runner.summarize(config, verdicts)
     if args.output_format == "json":
-        sys.stdout.write(runner.render_json(summary))
+        # Written a record at a time, like a table a row at a time.
+        write = sys.stdout.write
+        for piece in runner.json_pieces(summary):
+            write(piece)
     else:
         sys.stdout.write(runner.render_text(summary))
     return 1 if summary["counts"]["Fail"] else 0

@@ -63,13 +63,17 @@ class Report:
     status: Status
     lhs: object = None
     rhs: object = None
-    residual: object = None
     checks: tuple[Check, ...] = ()
     printed_residual: object = None
     corrected_residual: object = None
     note: str = ""
     # "<Type>: <message>" of the exception a verifier raised instead of reporting
     error: str = ""
+
+    @property
+    def residual(self):
+        """The exact lhs - rhs, or None for a report without an lhs."""
+        return None if self.lhs is None else self.lhs - self.rhs
 
     def verdict(self) -> Verdict:
         record = None if self.status is Status.PASS else self.to_dict()
@@ -153,7 +157,6 @@ def make_report(
         status=status,
         lhs=head.lhs if head else None,
         rhs=head.rhs if head else None,
-        residual=head.residual if head else None,
         checks=tuple(checks),
         printed_residual=printed_residual,
         corrected_residual=corrected_residual,

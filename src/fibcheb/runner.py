@@ -3,30 +3,30 @@
 Tasks are pure and independent, so they may be fanned out over a process
 pool.  Every task is settled where it runs, in the calling process or in a
 pool worker, into a ``Verdict``: the report's identity, status and, for a
-non-Pass report only, its JSON record.  The verdicts keep the order of the
-tasks (suites in ``SUITES`` order, each grid in its own numeric order), which a
-pool keeps too, so the emitted report is byte-identical regardless of worker
-count.
+non-Pass report only, its JSON record.  A pool of n workers gets n shares, one
+each: the tasks whose degree (a task's first argument, j or n) is w mod n.  The
+caches under the verifiers are keyed by degree, so no two workers fill the same
+entries.  The verdicts are put back in the order of the tasks (suites in
+``SUITES`` order, each grid in its own numeric order), so the emitted report is
+byte-identical regardless of worker count.  The JSON report is written in
+pieces, one record at a time, by ``json_pieces``.
 """
 
 from __future__ import annotations
 
 import inspect
-import json
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from . import connection, identities, integrals
 from .report import Check, Report, Status, Verdict, make_report
 from .sequences import Basis
 
 DEFAULT_SAFETY_CAP = 500
-# A pool hands each worker about this many chunks of tasks.  Fewer chunks mean
-# fewer round trips through the pool's queues; more mean a shorter idle tail
-# behind the last chunk, which holds the heaviest tasks (the large-j integrals).
-CHUNKS_PER_WORKER = 16
 TRIG_ABS_TOL = 1e-9
 TRIG_SAMPLE_COUNT = 16
 
@@ -85,7 +85,6 @@ def _run_trig(j: int) -> Report:
         status=status,
         lhs=worst,
         rhs=0.0,
-        residual=worst,
         note=f"max |lhs-rhs| over {TRIG_SAMPLE_COUNT} angles (tolerance {TRIG_ABS_TOL})",
     )
 
@@ -105,7 +104,7 @@ def _run_connection(j: int, direction: str) -> Report:
     oracle = dict(connection.oracle_expand(source, direction.target_basis))
     generated = expansion.coefficients_by_index()
     agree = all(
-        oracle.get(idx, Fraction(0)) == generated.get(idx, Fraction(0))
+        oracle.get(idx, 0) == generated.get(idx, 0)
         for idx in set(oracle) | set(generated)
     )
     checks.append(Check("oracle-match", agree, True))
@@ -200,6 +199,11 @@ def settle(task: Task) -> Verdict:
     return execute_task(task).verdict()
 
 
+def settle_all(tasks: list[Task]) -> list[Verdict]:
+    """The verdicts of ``tasks`` in their order: a whole sweep, or one worker's share."""
+    return list(map(settle, tasks))
+
+
 def run_sweep(config: RunConfig) -> list[Verdict]:
     """The verdicts of every task of the configured suites, in ``build_tasks`` order.
 
@@ -208,19 +212,23 @@ def run_sweep(config: RunConfig) -> list[Verdict]:
     config.validate()
     tasks = build_tasks(config)
     # A pool may start all of its processes at once, so it never gets more
-    # than there are CPUs or tasks; the output does not depend on the count.
-    size = max(1, min(config.workers, os.cpu_count() or 1, len(tasks)))
+    # than there are CPUs, tasks or degrees; the output does not depend on the count.
+    degrees = {task[1] for task in tasks}
+    size = max(1, min(config.workers, os.cpu_count() or 1, len(degrees)))
     if size == 1:
-        return list(map(settle, tasks))
+        return settle_all(tasks)
+    shares = [[] for _ in range(size)]
+    for task in tasks:
+        shares[task[1] % size].append(task)
     # Imported here, so that a command without a pool loads neither multiprocessing nor logging.
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     try:
         with ProcessPoolExecutor(max_workers=size) as pool:
-            chunksize = len(tasks) // (size * CHUNKS_PER_WORKER) + 1
-            return list(pool.map(settle, tasks, chunksize=chunksize))
+            settled = [iter(verdicts) for verdicts in pool.map(settle_all, shares)]
     except BrokenProcessPool as exc:  # a worker was killed, by the OS say
         raise ValueError(str(exc)) from exc
+    return [next(settled[task[1] % size]) for task in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +238,14 @@ def run_sweep(config: RunConfig) -> list[Verdict]:
 
 def summarize(config: RunConfig, verdicts: list[Verdict]) -> dict:
     """Status counts, overall and per identity, and the non-Pass records in verdict order."""
-    counts: dict[str, int] = {s.value: 0 for s in Status}
+    zero = {s.value: 0 for s in Status}
+    counts = dict(zero)
     per_identity: dict[str, dict[str, int]] = {}
     for v in verdicts:
         counts[v.status] += 1
-        bucket = per_identity.setdefault(v.identity, {s.value: 0 for s in Status})
-        bucket[v.status] += 1
+        if v.identity not in per_identity:
+            per_identity[v.identity] = dict(zero)
+        per_identity[v.identity][v.status] += 1
     return {
         "config": {
             "suite": config.suite,
@@ -248,8 +258,56 @@ def summarize(config: RunConfig, verdicts: list[Verdict]) -> dict:
     }
 
 
+def _json_text(value, indent: str) -> str:
+    """``value``, a str, int, dict or list, as ``json.dumps(indent=2, sort_keys=True)``
+    writes it at the nesting level whose lines start with ``indent``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = f",\n{inner}".join(
+            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())
+        )
+        return f"{{\n{inner}{items}\n{indent}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = f",\n{inner}".join(_json_text(v, inner) for v in value)
+        return f"[\n{inner}{items}\n{indent}]"
+    if type(value) is int:
+        return repr(value)
+    raise TypeError(f"a report holds no {type(value).__name__}")
+
+
+def json_pieces(summary: dict) -> Iterator[str]:
+    """``json.dumps(summary, indent=2, sort_keys=True) + "\\n"`` in pieces: the
+    head, then one item at a time of each nonempty top-level list (the
+    records), then the tail.
+
+    The JSON encoder runs in pure Python whenever it indents; this writes the
+    same text with the C string escaper, and never holds the whole report.
+    """
+    text, sep = "{", "\n  "
+    for key, value in sorted(summary.items()):
+        text += f"{sep}{encode_basestring_ascii(key)}: "
+        sep = ",\n  "
+        if isinstance(value, list) and value:
+            yield text + "["
+            item_sep = "\n    "
+            for item in value:
+                yield item_sep + _json_text(item, "    ")
+                item_sep = ",\n    "
+            text = "\n  ]"
+        else:
+            text += _json_text(value, "  ")
+    yield text + ("\n}\n" if summary else "}\n")
+
+
 def render_json(summary: dict) -> str:
-    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    return "".join(json_pieces(summary))
 
 
 def render_text(summary: dict) -> str:

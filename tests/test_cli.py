@@ -229,6 +229,24 @@ class TestVerify:
         assert len(identities) > 2
         assert identities == [family for family in families if family in identities]
 
+    def test_json_report_of_an_empty_grid(self, capsys):
+        # as json.dumps wrote it before the report was written in pieces
+        expected = (
+            '{\n  "config": {\n    "jmax": 1,\n    "qmax": 5,\n    "suite": "lemma"\n  },\n'
+            '  "counts": {\n    "Fail": 0,\n    "PaperErratum": 0,\n    "Pass": 0,\n    "Unevaluable": 0\n  },\n'
+            '  "per_identity": {},\n  "records": []\n}\n'
+        )
+        assert run_cli(capsys, "verify", "--suite", "lemma", "--jmax", "1", "--format", "json") == (0, expected, "")
+
+    def test_json_report_is_written_record_by_record(self, capsys):
+        config = runner.RunConfig(jmax=6)
+        summary = runner.summarize(config, runner.run_sweep(config))
+        pieces = list(runner.json_pieces(summary))
+        assert len(pieces) == 1 + len(summary["records"]) + 1  # head, records, tail
+        _, out, _ = run_cli(capsys, "verify", "--jmax", "6", "--format", "json")
+        assert out == runner.render_json(summary) == "".join(pieces)
+        assert out == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
     def test_repeat_runs_byte_identical(self, capsys):
         args = ("verify", "--suite", "integrals", "--jmax", "8", "--format", "json")
         _, out1, _ = run_cli(capsys, *args)
@@ -339,8 +357,8 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "workers, cpus, expected",
-        # lemma at jmax 6 has 9 tasks
-        [(5000, 4, 4), (3, 4, 3), (2, None, 1), (5000, 64, 9)],
+        # lemma at jmax 6 has 9 tasks of 5 degrees (j = 2 .. 6)
+        [(5000, 4, 4), (3, 4, 3), (2, None, 1), (5000, 64, 5)],
     )
     def test_pool_is_bounded_by_cpus_and_tasks(self, monkeypatch, workers, cpus, expected):
         # a fake pool records its size and runs in this process: no real
@@ -357,8 +375,8 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def map(self, fn, shares):
+                return map(fn, shares)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
@@ -368,6 +386,47 @@ class TestVerify:
         assert sizes == ([] if expected == 1 else [expected])
         serial = runner.run_sweep(runner.RunConfig(suite="lemma", jmax=6, workers=1))
         assert verdicts == serial
+
+    def test_pool_shares_are_the_residue_classes_of_the_degree(self, monkeypatch):
+        # a fake pool of three settles its shares in this process, last share first
+        shares = []
+
+        class ReversingPool:
+            def __init__(self, max_workers):
+                assert max_workers == 3
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, given):
+                shares.extend(given)
+                return reversed([fn(share) for share in reversed(given)])
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversingPool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)
+        config = runner.RunConfig(jmax=7, qmax=2, workers=3)
+        tasks = runner.build_tasks(config)
+        verdicts = runner.run_sweep(config)
+        assert len(shares) == 3
+        for w, share in enumerate(shares):
+            assert share == [task for task in tasks if task[1] % 3 == w]
+        assert verdicts == runner.run_sweep(runner.RunConfig(jmax=7, qmax=2)) == [
+            runner.settle(task) for task in tasks
+        ]
+
+    def test_a_single_degree_starts_no_pool(self, capsys, monkeypatch):
+        # integrals at jmax 0 are four tasks, all of degree 0
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for a single degree")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "integrals", "--jmax", "0", "--workers", "2")
+        assert code == 0
+        assert "result: OK (0 failing)" in out
 
     def test_broken_pool_is_a_clean_error(self, capsys, monkeypatch):
         # a fake pool raises as a real one does when the OS kills a worker;
@@ -382,7 +441,7 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
+            def map(self, fn, shares):
                 raise BrokenProcessPool("A process in the process pool was terminated abruptly")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
@@ -472,3 +531,33 @@ def test_readme_suite_list_matches_registry():
 @example(s=12, e=1000)
 def test_dyadic_text_is_the_reduced_fraction(s, e):
     assert dyadic_text(s, e) == str(Fraction(s, 2**e))
+
+
+# Quotes, backslashes, control characters and non-ASCII text, each escaped by JSON.
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\U0001f600'), st.characters()), max_size=6)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_TEXT, st.integers()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(JSON_TEXT, inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+@given(
+    summary=st.fixed_dictionaries({
+        "config": st.dictionaries(JSON_TEXT, st.one_of(JSON_TEXT, st.integers()), max_size=3),
+        "counts": st.dictionaries(JSON_TEXT, st.integers(), max_size=4),
+        "per_identity": st.dictionaries(JSON_TEXT, st.dictionaries(JSON_TEXT, st.integers(), max_size=4), max_size=3),
+        "records": st.lists(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5), max_size=4),
+    }) | st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=4)
+)
+@example(summary={})
+@example(summary={"config": {}, "counts": {}, "per_identity": {}, "records": []})
+@example(summary={"records": [{}, {"params": {}, "checks": []}], "z\\\"\x01é": [[], [1]]})
+def test_json_writer_matches_json_dumps(summary):
+    assert runner.render_json(summary) == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, True, None, (1,)])
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        runner.render_json({"records": [{"lhs": value}]})
