@@ -130,7 +130,7 @@ def _cmd_verify(args) -> int:
         workers=args.workers,
         safety_cap=args.cap,
     )
-    verdicts = runner.run_sweep(config)
+    verdicts = runner.run_sweep(config, args.output_format)
     summary = runner.summarize(config, verdicts)
     if args.output_format == "json":
         # Written a record at a time, like a table a row at a time.
@@ -176,9 +176,12 @@ def main(argv=None) -> int:
 
     A handler raises ValueError only for invalid input or a broken pool, and
     only before it writes output.  Each such error ends here, as one
-    ``error: <message>`` line on stderr and exit code 2.
+    ``error: <message>`` line on stderr and exit code 2.  Past parsing, CPython's
+    int-to-str digit limit (3.10.7+) is lifted, so exact values of any length print.
     """
     args = build_parser().parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return COMMANDS[args.command](args)
     except ValueError as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -43,17 +42,17 @@ class Check:
 
 
 class Verdict(NamedTuple):
-    """What a sweep keeps of one report: its identity and status value, and
-    its ``to_dict()`` record when the status is not Pass (else None).
+    """What a sweep keeps of one report: its identity, status value and record
+    as the report prints it, or None where it prints none (a Pass, or an
+    Unevaluable report in the text report).
 
     It is made of strings alone, so a pool worker sends it back without the
-    report's exact values: the parent rebuilds no ``Fraction`` or
-    ``Polynomial`` when it unpickles one.
+    report's exact values: the parent rebuilds no number or dict from one.
     """
 
     identity: str
     status: str
-    record: dict | None
+    record: str | None
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,16 @@ class Report:
         """The exact lhs - rhs, or None for a report without an lhs."""
         return None if self.lhs is None else self.lhs - self.rhs
 
-    def verdict(self) -> Verdict:
-        record = None if self.status is Status.PASS else self.to_dict()
-        return Verdict(self.identity, self.status.value, record)
+    def text_line(self) -> str:
+        """The report's line in the text report, with its residuals and error if it has them."""
+        params = ",".join(f"{k}={_display(v)}" for k, v in sorted(self.params))
+        detail = ""
+        if self.printed_residual is not None:
+            corrected = "-" if self.corrected_residual is None else _display(self.corrected_residual)
+            detail = f" printed_residual={_display(self.printed_residual)} corrected_residual={corrected}"
+        if self.error:
+            detail += f" error={self.error}"
+        return f"{self.identity}({params}): {self.status.value}{detail}"
 
     def to_dict(self) -> dict:
         out = {
@@ -113,14 +119,8 @@ class Report:
 
 
 def _display(value) -> str:
-    """Deterministic string form for report values of any scalar kind."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if hasattr(value, "to_text"):
-        return value.to_text()
-    return str(value)
+    """Deterministic string form for report values of any scalar kind (a float by its repr)."""
+    return value.to_text() if hasattr(value, "to_text") else str(value)
 
 
 def make_report(

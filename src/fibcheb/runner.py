@@ -2,14 +2,14 @@
 
 Tasks are pure and independent, so they may be fanned out over a process
 pool.  Every task is settled where it runs, in the calling process or in a
-pool worker, into a ``Verdict``: the report's identity, status and, for a
-non-Pass report only, its JSON record.  A pool of n workers gets n shares, one
-each: the tasks whose degree (a task's first argument, j or n) is w mod n.  The
-caches under the verifiers are keyed by degree, so no two workers fill the same
+pool worker, into a ``Verdict``: the report's identity, status and record, as
+the output format prints it.  A pool of n workers gets n shares, one each: the
+tasks whose degree (a task's first argument, j or n) is w mod n.  The caches
+under the verifiers are keyed by degree, so no two workers fill the same
 entries.  The verdicts are put back in the order of the tasks (suites in
 ``SUITES`` order, each grid in its own numeric order), so the emitted report is
-byte-identical regardless of worker count.  The JSON report is written in
-pieces, one record at a time, by ``json_pieces``.
+byte-identical regardless of worker count.  The parent keeps status counts and
+record strings alone, and writes the JSON report one record at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
@@ -194,18 +195,22 @@ def execute_task(task: Task) -> Report:
         )
 
 
-def settle(task: Task) -> Verdict:
-    """``execute_task(task)`` reduced to the verdict a sweep keeps."""
-    return execute_task(task).verdict()
+def settle_all(tasks: list[Task], output_format: str) -> list[Verdict]:
+    """The verdicts of ``tasks`` in order, for the ``output_format`` report: a sweep or a share."""
+    verdicts = []
+    for report in map(execute_task, tasks):
+        if report.status is Status.PASS:
+            record = None
+        elif output_format == "json":
+            record = _json_text(report.to_dict(), "    ")
+        else:  # the text report prints no line for an Unevaluable record
+            record = None if report.status is Status.UNEVALUABLE else report.text_line()
+        verdicts.append(Verdict(report.identity, report.status.value, record))
+    return verdicts
 
 
-def settle_all(tasks: list[Task]) -> list[Verdict]:
-    """The verdicts of ``tasks`` in their order: a whole sweep, or one worker's share."""
-    return list(map(settle, tasks))
-
-
-def run_sweep(config: RunConfig) -> list[Verdict]:
-    """The verdicts of every task of the configured suites, in ``build_tasks`` order.
+def run_sweep(config: RunConfig, output_format: str = "text") -> list[Verdict]:
+    """The verdicts of the configured tasks, in ``build_tasks`` order, for the ``output_format`` report.
 
     Raises ValueError for an invalid config or a killed pool worker.
     """
@@ -216,7 +221,7 @@ def run_sweep(config: RunConfig) -> list[Verdict]:
     degrees = {task[1] for task in tasks}
     size = max(1, min(config.workers, os.cpu_count() or 1, len(degrees)))
     if size == 1:
-        return settle_all(tasks)
+        return settle_all(tasks, output_format)
     shares = [[] for _ in range(size)]
     for task in tasks:
         shares[task[1] % size].append(task)
@@ -225,7 +230,8 @@ def run_sweep(config: RunConfig) -> list[Verdict]:
     from concurrent.futures.process import BrokenProcessPool
     try:
         with ProcessPoolExecutor(max_workers=size) as pool:
-            settled = [iter(verdicts) for verdicts in pool.map(settle_all, shares)]
+            settle_share = partial(settle_all, output_format=output_format)
+            settled = [iter(verdicts) for verdicts in pool.map(settle_share, shares)]
     except BrokenProcessPool as exc:  # a worker was killed, by the OS say
         raise ValueError(str(exc)) from exc
     return [next(settled[task[1] % size]) for task in tasks]
@@ -237,7 +243,7 @@ def run_sweep(config: RunConfig) -> list[Verdict]:
 
 
 def summarize(config: RunConfig, verdicts: list[Verdict]) -> dict:
-    """Status counts, overall and per identity, and the non-Pass records in verdict order."""
+    """Status counts, overall and per identity, and the verdicts' record strings in verdict order."""
     zero = {s.value: 0 for s in Status}
     counts = dict(zero)
     per_identity: dict[str, dict[str, int]] = {}
@@ -284,8 +290,8 @@ def _json_text(value, indent: str) -> str:
 
 def json_pieces(summary: dict) -> Iterator[str]:
     """``json.dumps(summary, indent=2, sort_keys=True) + "\\n"`` in pieces: the
-    head, then one item at a time of each nonempty top-level list (the
-    records), then the tail.
+    head, then one item at a time of each nonempty top-level list (a record,
+    already its ``_json_text`` at the 4-space indent), then the tail.
 
     The JSON encoder runs in pure Python whenever it indents; this writes the
     same text with the C string escaper, and never holds the whole report.
@@ -298,7 +304,7 @@ def json_pieces(summary: dict) -> Iterator[str]:
             yield text + "["
             item_sep = "\n    "
             for item in value:
-                yield item_sep + _json_text(item, "    ")
+                yield item_sep + item
                 item_sep = ",\n    "
             text = "\n  ]"
         else:
@@ -325,20 +331,9 @@ def render_text(summary: dict) -> str:
     lines.append(
         f"{'total':<14}{c['Pass']:>8}{c['PaperErratum']:>14}{c['Fail']:>8}{c['Unevaluable']:>13}"
     )
-    interesting = [rec for rec in summary["records"] if rec["status"] != "Unevaluable"]
-    if interesting:
+    if summary["records"]:
         lines.append("non-pass records (excluding Unevaluable):")
-        for rec in interesting:
-            params = ",".join(f"{k}={v}" for k, v in sorted(rec["params"].items()))
-            detail = ""
-            if "printed_residual" in rec:
-                detail = (
-                    f" printed_residual={rec['printed_residual']}"
-                    f" corrected_residual={rec.get('corrected_residual', '-')}"
-                )
-            if "error" in rec:
-                detail += f" error={rec['error']}"
-            lines.append(f"  {rec['identity']}({params}): {rec['status']}{detail}")
+        lines.extend(f"  {line}" for line in summary["records"])
     failing = summary["counts"]["Fail"]
     lines.append(f"result: {'FAIL' if failing else 'OK'} ({failing} failing)")
     return "\n".join(lines) + "\n"

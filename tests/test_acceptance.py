@@ -222,9 +222,9 @@ def test_criterion_9_integrals():
 def test_criterion_10_determinism_and_runtime():
     started = time.monotonic()
     config_one = RunConfig(suite="all", jmax=30, qmax=5, workers=1)
-    verdicts_one = run_sweep(config_one)
+    verdicts_one = run_sweep(config_one, "json")
     config_two = RunConfig(suite="all", jmax=30, qmax=5, workers=2)
-    verdicts_two = run_sweep(config_two)
+    verdicts_two = run_sweep(config_two, "json")
     elapsed = time.monotonic() - started
 
     json_one = render_json(summarize(config_one, verdicts_one))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fibcheb import Direction, runner
 from fibcheb.cli import dyadic_text, main
-from fibcheb.report import Status
+from fibcheb.report import Report, Status
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = README.parent / "src"
@@ -56,6 +56,12 @@ class TestEval:
         assert run_cli(capsys, *at_cap, "--cap", "600") == (0, "0\n", "")  # (1 - 1)^600
         negative = (2, "", "error: safety cap must be nonnegative, got -1\n")
         assert run_cli(capsys, *at_cap, "--cap", "-1") == negative
+
+    def test_exact_value_past_the_int_digit_limit(self, capsys):
+        # (1 - z)^500 at z = 10^10 has 5,000 digits, past CPython's default limit of 4,300
+        code, out, err = run_cli(capsys, "eval", "--a", "-500", "--b", "1", "--c", "1", "--z", "10000000000")
+        assert (code, err) == (0, "")
+        assert out == f"{(1 - 10**10) ** 500}\n"
 
     @pytest.mark.parametrize("flag, text", [("--z", "1/0"), ("--b", "abc")])
     def test_unparsable_parameter_names_its_flag(self, capsys, flag, text):
@@ -240,12 +246,15 @@ class TestVerify:
 
     def test_json_report_is_written_record_by_record(self, capsys):
         config = runner.RunConfig(jmax=6)
-        summary = runner.summarize(config, runner.run_sweep(config))
+        summary = runner.summarize(config, runner.run_sweep(config, "json"))
         pieces = list(runner.json_pieces(summary))
         assert len(pieces) == 1 + len(summary["records"]) + 1  # head, records, tail
         _, out, _ = run_cli(capsys, "verify", "--jmax", "6", "--format", "json")
         assert out == runner.render_json(summary) == "".join(pieces)
-        assert out == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        # as json.dumps writes the summary with each record's dict in place of its piece
+        reports = map(runner.execute_task, runner.build_tasks(config))
+        records = [report.to_dict() for report in reports if report.status is not Status.PASS]
+        assert out == json.dumps({**summary, "records": records}, indent=2, sort_keys=True) + "\n"
 
     def test_repeat_runs_byte_identical(self, capsys):
         args = ("verify", "--suite", "integrals", "--jmax", "8", "--format", "json")
@@ -336,14 +345,44 @@ class TestVerify:
         tasks = runner.build_tasks(runner.RunConfig(jmax=3, qmax=2))
         assert {task[0] for task in tasks} == set(runner.FAMILIES)
         statuses = set()
-        for task in tasks:
+        verdicts = zip(runner.settle_all(tasks, "json"), runner.settle_all(tasks, "text"), strict=True)
+        for task, (as_json, as_text) in zip(tasks, verdicts, strict=True):
             report = runner.execute_task(task)
-            verdict = runner.settle(task)
-            assert verdict.identity == report.identity
-            assert verdict.status == report.status.value
-            assert verdict.record == (None if report.status is Status.PASS else report.to_dict())
+            for verdict in (as_json, as_text):
+                assert verdict.identity == report.identity
+                assert verdict.status == report.status.value
+            json_record = runner._json_text(report.to_dict(), "    ")
+            assert as_json.record == (None if report.status is Status.PASS else json_record)
+            printed = report.status not in (Status.PASS, Status.UNEVALUABLE)
+            assert as_text.record == (report.text_line() if printed else None)
             statuses.add(report.status)
         assert statuses == {Status.PASS, Status.PAPER_ERRATUM, Status.UNEVALUABLE}
+
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_verdict_records_are_strings_and_text_omits_unevaluable(self, monkeypatch, output_format):
+        def no_dict(report):
+            raise AssertionError("a text sweep built a record dict")
+
+        if output_format == "text":
+            monkeypatch.setattr(Report, "to_dict", no_dict)
+        verdicts = runner.run_sweep(runner.RunConfig(suite="integrals", jmax=6), output_format)
+        assert {v.status for v in verdicts} == {"Pass", "PaperErratum", "Unevaluable"}
+        assert all(v.record is None or isinstance(v.record, str) for v in verdicts)
+        printed = {v.status for v in verdicts if v.record is not None}
+        assert printed == ({"PaperErratum"} if output_format == "text" else {"PaperErratum", "Unevaluable"})
+
+    def test_text_line_of_a_fail_without_residuals(self):
+        report = Report("lemma", (("m", 1), ("j", 4)), Status.FAIL, lhs=False, rhs=True)
+        assert report.text_line() == "lemma(j=4,m=1): Fail"
+
+    def test_text_line_of_an_erratum(self):
+        report = runner.execute_task(("int-FT", 2, 0))
+        assert report.status is Status.PAPER_ERRATUM
+        assert report.text_line() == "int-FT(j=2,k=0): PaperErratum printed_residual=-3/4 corrected_residual=0"
+
+    def test_text_line_without_a_corrected_residual(self):
+        report = Report("cor5.2", (("j", 3), ("q", Fraction(1, 2))), Status.FAIL, printed_residual=Fraction(-5, 2))
+        assert report.text_line() == "cor5.2(j=3,q=1/2): Fail printed_residual=-5/2 corrected_residual=-"
 
     def test_raising_task_verdict_carries_the_error(self, monkeypatch):
         def chain_raising(j):
@@ -351,9 +390,11 @@ class TestVerify:
 
         monkeypatch.setitem(runner.FAMILIES, "cor5.1-chain", chain_raising)
         report = runner.execute_task(("cor5.1-chain", 3))
-        verdict = runner.settle(("cor5.1-chain", 3))
-        assert verdict == ("cor5.1-chain", "Fail", report.to_dict())
-        assert verdict.record["error"] == "ZeroDivisionError: injected"
+        [as_json] = runner.settle_all([("cor5.1-chain", 3)], "json")
+        [as_text] = runner.settle_all([("cor5.1-chain", 3)], "text")
+        assert as_json == ("cor5.1-chain", "Fail", runner._json_text(report.to_dict(), "    "))
+        assert json.loads(as_json.record)["error"] == "ZeroDivisionError: injected"
+        assert as_text == ("cor5.1-chain", "Fail", "cor5.1-chain(j=3): Fail error=ZeroDivisionError: injected")
 
     @pytest.mark.parametrize(
         "workers, cpus, expected",
@@ -409,13 +450,14 @@ class TestVerify:
         monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)
         config = runner.RunConfig(jmax=7, qmax=2, workers=3)
         tasks = runner.build_tasks(config)
-        verdicts = runner.run_sweep(config)
-        assert len(shares) == 3
-        for w, share in enumerate(shares):
-            assert share == [task for task in tasks if task[1] % 3 == w]
-        assert verdicts == runner.run_sweep(runner.RunConfig(jmax=7, qmax=2)) == [
-            runner.settle(task) for task in tasks
-        ]
+        for output_format in ("text", "json"):
+            shares.clear()
+            verdicts = runner.run_sweep(config, output_format)
+            assert len(shares) == 3
+            for w, share in enumerate(shares):
+                assert share == [task for task in tasks if task[1] % 3 == w]
+            serial = runner.run_sweep(runner.RunConfig(jmax=7, qmax=2), output_format)
+            assert verdicts == serial == runner.settle_all(tasks, output_format)
 
     def test_a_single_degree_starts_no_pool(self, capsys, monkeypatch):
         # integrals at jmax 0 are four tasks, all of degree 0
@@ -554,10 +596,15 @@ JSON_VALUES = st.recursive(
 @example(summary={"config": {}, "counts": {}, "per_identity": {}, "records": []})
 @example(summary={"records": [{}, {"params": {}, "checks": []}], "z\\\"\x01é": [[], [1]]})
 def test_json_writer_matches_json_dumps(summary):
-    assert runner.render_json(summary) == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    # each top-level list holds its items already written, as a sweep's records are
+    pieces = {
+        key: [runner._json_text(item, "    ") for item in value] if isinstance(value, list) else value
+        for key, value in summary.items()
+    }
+    assert runner.render_json(pieces) == json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("value", [1.5, True, None, (1,)])
 def test_json_writer_rejects_other_types(value):
     with pytest.raises(TypeError):
-        runner.render_json({"records": [{"lhs": value}]})
+        runner._json_text({"lhs": value}, "    ")

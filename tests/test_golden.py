@@ -32,6 +32,8 @@ GOLDEN = {
     # the integral sweep: two exact routes and the quadrature for every (j, k, kind)
     "verify_integrals_j40.json.sha256": (
         ["verify", "--suite", "integrals", "--jmax", "40", "--format", "json"], 0),
+    # its text report: the int-FT errata's lines, and no line for an Unevaluable record
+    "verify_integrals_j40.txt": (["verify", "--suite", "integrals", "--jmax", "40"], 0),
     # the only CLI output whose quadrature takes the 2^-e scaling path (e > 0)
     "integrate_ft_1500_0.txt": (["integrate", "--kind", "ft", "--j", "1500", "--k", "0"], 0),
     **{
