@@ -176,17 +176,23 @@ def main(argv=None) -> int:
 
     A handler raises ValueError only for invalid input or a broken pool, and
     only before it writes output.  Each such error ends here, as one
-    ``error: <message>`` line on stderr and exit code 2.  Past parsing, CPython's
-    int-to-str digit limit (3.10.7+) is lifted, so exact values of any length print.
+    ``error: <message>`` line on stderr and exit code 2.  While the handler runs,
+    CPython's int-to-str digit limit (3.10.7+) is lifted, so exact values of any
+    length print; the caller's limit is back in place when ``main`` returns.
     """
     args = build_parser().parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
         return COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry_point() -> None:

@@ -16,7 +16,6 @@ tables use it; the tests hold it to the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -57,8 +56,7 @@ class ExpansionTerm(NamedTuple):
     coefficient: Fraction
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     """Expansion of one source polynomial over a target family.
 
     Terms are indexed both by the summation index m and by the target family

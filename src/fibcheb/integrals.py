@@ -20,7 +20,6 @@ the pairs asked for need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -42,16 +41,20 @@ class Weight(Enum):
     SECOND_KIND = "sqrt(1-x^2)"
 
 
-@dataclass(frozen=True)
 class PiMultiple:
-    """An exact rational multiple of pi."""
+    """An immutable exact rational multiple of pi."""
 
-    coefficient: Fraction
+    __slots__ = ("coefficient",)
 
     def __init__(self, coefficient: RationalLike):
         if not isinstance(coefficient, Fraction):
             coefficient = Fraction(coefficient)
         object.__setattr__(self, "coefficient", coefficient)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("PiMultiple is immutable")
+
+    __delattr__ = __setattr__
 
     def __add__(self, other: "PiMultiple") -> "PiMultiple":
         if not isinstance(other, PiMultiple):
@@ -88,6 +91,9 @@ class PiMultiple:
 
     def __repr__(self):
         return f"PiMultiple({self.coefficient!r})"
+
+    def __reduce__(self):
+        return (PiMultiple, (self.coefficient,))
 
 
 ZERO_PI = PiMultiple(0)

@@ -10,7 +10,6 @@ exact) rather than Pass or Fail.  Printed formulas are never silently fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -24,8 +23,7 @@ class Status(str, Enum):
     UNEVALUABLE = "Unevaluable"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named sub-comparison inside a report (lhs, rhs, exact residual)."""
 
     name: str
@@ -55,8 +53,7 @@ class Verdict(NamedTuple):
     record: str | None
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     identity: str
     params: tuple[tuple[str, object], ...]
     status: Status

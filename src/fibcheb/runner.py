@@ -14,14 +14,12 @@ record strings alone, and writes the JSON report one record at a time.
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import connection, identities, integrals
 from .report import Check, Report, Status, Verdict, make_report
@@ -34,8 +32,7 @@ TRIG_SAMPLE_COUNT = 16
 LAURENT_POINTS = (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(7, 5))
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     suite: str = "all"
     jmax: int = 20
     qmax: int = 5
@@ -186,6 +183,7 @@ def execute_task(task: Task) -> Report:
     try:
         return verifier(*args)
     except Exception as exc:
+        import inspect  # only here, so start-up loads neither it nor ast, dis and tokenize
         params = inspect.signature(verifier).bind(*args).arguments
         return Report(
             identity=family,

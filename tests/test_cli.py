@@ -1,10 +1,12 @@
 """CLI behavior: output formats, exit codes, determinism."""
 
 import concurrent.futures
+import copy
 import csv
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -18,14 +20,16 @@ from hypothesis import strategies as st
 
 from fibcheb import Direction, runner
 from fibcheb.cli import dyadic_text, main
-from fibcheb.report import Report, Status
+from fibcheb.report import Check, Report, Status
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = README.parent / "src"
 
 
 def run_cli(capsys, *argv):
+    limit = sys.get_int_max_str_digits()
     code = main(list(argv))
+    assert sys.get_int_max_str_digits() == limit  # main puts back the digit limit it lifts
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -61,7 +65,13 @@ class TestEval:
         # (1 - z)^500 at z = 10^10 has 5,000 digits, past CPython's default limit of 4,300
         code, out, err = run_cli(capsys, "eval", "--a", "-500", "--b", "1", "--c", "1", "--z", "10000000000")
         assert (code, err) == (0, "")
-        assert out == f"{(1 - 10**10) ** 500}\n"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{(1 - 10**10) ** 500}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert out == expected
 
     @pytest.mark.parametrize("flag, text", [("--z", "1/0"), ("--b", "abc")])
     def test_unparsable_parameter_names_its_flag(self, capsys, flag, text):
@@ -509,6 +519,45 @@ class TestVerify:
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
         assert (loaded.returncode, loaded.stdout.split(), loaded.stderr) == (0, [], "")
+
+    @pytest.mark.parametrize("module", ["fibcheb", "fibcheb.cli"])
+    def test_import_loads_no_source_introspection(self, module):
+        # No record is a dataclass, and runner imports inspect on a task's error
+        # path alone.  A fresh interpreter, since pytest itself imports inspect.
+        names = "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+        probe = f"import sys; before = set(sys.modules); import {module}; print(*{names} & set(sys.modules) - before)"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        assert (loaded.returncode, loaded.stdout.split(), loaded.stderr) == (0, [], "")
+
+    def test_check_report_and_config_are_immutable_values(self):
+        check = Check(name="recurrence", lhs=False, rhs=True)
+        report = Report(identity="lemma", params=(("j", 4), ("m", 1)), status=Status.FAIL, lhs=False, rhs=True)
+        config = runner.RunConfig(suite="lemma")
+        for record, field in ((check, "lhs"), (report, "status"), (config, "jmax")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+                assert copied == record and type(copied) is type(record)
+        assert pickle.loads(pickle.dumps(report)).text_line() == "lemma(j=4,m=1): Fail"
+        # keyword construction fills the same fields and defaults as before, and
+        # positional construction takes them in the same order
+        fields = (
+            (check, {"name": "recurrence", "lhs": False, "rhs": True}),
+            (report, {
+                "identity": "lemma", "params": (("j", 4), ("m", 1)), "status": Status.FAIL, "lhs": False,
+                "rhs": True, "checks": (), "printed_residual": None, "corrected_residual": None, "note": "",
+                "error": "",
+            }),
+            (config, {"suite": "lemma", "jmax": 20, "qmax": 5, "workers": 1, "safety_cap": 500}),
+        )
+        for record, expected in fields:
+            assert {name: getattr(record, name) for name in expected} == expected
+            assert type(record)(*expected.values()) == record
+        assert check.residual == -1 and not check.ok
+        assert report.residual == -1
 
 
 LIMITED_COMMANDS = [("table", "--direction", "f-in-t"), ("verify", "--suite", "lemma")]

@@ -1,5 +1,7 @@
 """Connection tables vs the triangular-elimination oracle."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from fibcheb import (
     lemma_recurrence_holds,
     oracle_expand,
 )
-from fibcheb.connection import ExpansionTerm, table_rows, terms
+from fibcheb.connection import Expansion, ExpansionTerm, table_rows, terms
 
 
 def rebuild_elimination(p, basis):
@@ -96,6 +98,20 @@ class TestExpansions:
     def test_fibonacci_sources_allow_zero(self):
         assert expand(0, Direction.F_IN_T).reconstruct() == Polynomial((1,))
         assert expand(0, Direction.F_IN_U).reconstruct() == Polynomial((1,))
+
+    def test_expansion_is_an_immutable_value(self):
+        expansion = expand(3, Direction.F_IN_T)
+        with pytest.raises(AttributeError):
+            expansion.j = 4
+        with pytest.raises(AttributeError):
+            del expansion.j
+        for copied in (pickle.loads(pickle.dumps(expansion)), copy.copy(expansion)):
+            assert copied == expansion and type(copied) is Expansion
+            assert copied.reconstruct() == fibonacci_poly(4)
+        built = Expansion(j=3, direction=Direction.F_IN_T, terms=terms(3, Direction.F_IN_T))
+        assert (built.j, built.direction, built.terms) == (3, Direction.F_IN_T, terms(3, Direction.F_IN_T))
+        assert Expansion(3, Direction.F_IN_T, terms(3, Direction.F_IN_T)) == built == expansion
+        assert built.coefficients_by_index() == {3: Fraction(1, 4), 1: Fraction(11, 4)}
 
 
 def integer_family(p0, p1, x_factor, sign, count):
