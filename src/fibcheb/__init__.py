@@ -20,7 +20,6 @@ from .connection import (
     oracle_expand,
 )
 from .hypergeometric import (
-    FibonacciSeriesVariant,
     Hyp2F1,
     NonTerminatingError,
     ZeroDenominatorError,
@@ -84,7 +83,6 @@ __all__ = [
     "Direction",
     "Expansion",
     "ExpansionTerm",
-    "FibonacciSeriesVariant",
     "GaussianRational",
     "Hyp2F1",
     "NonTerminatingError",

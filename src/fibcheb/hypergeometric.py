@@ -14,7 +14,6 @@ those integers, and the result is reduced to lowest terms once, at the end.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -98,32 +97,21 @@ def hyp2f1(a: RationalLike, b: RationalLike, c: RationalLike, z: RationalLike) -
     return eval_2f1(Hyp2F1(a, b, c, z))
 
 
-class FibonacciSeriesVariant(Enum):
-    """The two hypergeometric representations of the Fibonacci numbers."""
+def fibonacci_as_2f1(n: int) -> tuple[Fraction, Fraction]:
+    """F_n by its two terminating 2F1 representations, as the pair (argument -4, argument 5):
 
-    ARG_MINUS_4 = "arg-minus-4"
-    ARG_5 = "arg-5"
-
-
-def fibonacci_as_2f1(n: int, variant: FibonacciSeriesVariant) -> Fraction:
-    """F_n as a terminating 2F1 value.
-
-    ARG_MINUS_4:  F_n = 2F1((1-n)/2, (2-n)/2; 1-n; -4)
-    ARG_5:        F_n = (n / 2^(n-1)) 2F1((1-n)/2, (2-n)/2; 3/2; 5)
+        F_n = 2F1((1-n)/2, (2-n)/2; 1-n; -4)
+        F_n = (n / 2^(n-1)) 2F1((1-n)/2, (2-n)/2; 3/2; 5)
 
     One of the upper parameters is a nonpositive integer for every n >= 1, so
-    both forms are exactly summable; by construction they must equal the
+    both forms are exactly summable; by construction each must equal the
     integer-recurrence Fibonacci number.
     """
     if n < 1:
         raise ValueError(f"representation defined for n >= 1, got {n}")
     a = Fraction(1 - n, 2)
     b = Fraction(2 - n, 2)
-    if variant is FibonacciSeriesVariant.ARG_MINUS_4:
-        return hyp2f1(a, b, 1 - n, -4)
-    if variant is FibonacciSeriesVariant.ARG_5:
-        return Fraction(n, 2 ** (n - 1)) * hyp2f1(a, b, Fraction(3, 2), 5)
-    raise ValueError(f"unknown variant {variant}")
+    return hyp2f1(a, b, 1 - n, -4), Fraction(n, 2 ** (n - 1)) * hyp2f1(a, b, Fraction(3, 2), 5)
 
 
 def pfaff_transform(series: Hyp2F1) -> tuple[Fraction, Hyp2F1]:

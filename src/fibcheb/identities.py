@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .connection import Direction, terms
-from .hypergeometric import FibonacciSeriesVariant, fibonacci_as_2f1, hyp2f1
+from .hypergeometric import fibonacci_as_2f1, hyp2f1
 from .report import Check, Report, make_report
 from .scalars import GaussianRational, I, binomial, lattice_parts, pochhammer, sqrt_pi_over_gamma
 from .sequences import (
@@ -160,9 +160,10 @@ def verify_2f1_chain(j: int) -> Report:
         * hyp2f1(-m, 1 - m, -j, Fraction(4, 5))
         for m in range(j // 2 + 1)
     )
+    minus4, arg5 = fibonacci_as_2f1(j + 1)
     checks = [
-        Check("2F1(-4)", fibonacci_as_2f1(j + 1, FibonacciSeriesVariant.ARG_MINUS_4), expected),
-        Check("2F1(5)-scaled", fibonacci_as_2f1(j + 1, FibonacciSeriesVariant.ARG_5), expected),
+        Check("2F1(-4)", minus4, expected),
+        Check("2F1(5)-scaled", arg5, expected),
         Check("sum(-1/4)", _fib_sum_first_kind(j), expected),
         Check("sum(-4)", _fib_sum_second_kind(j), expected),
         Check("sum(1/5)", sum_one_fifth, expected),
@@ -366,8 +367,7 @@ def verify_derivative_corollaries(j: int, q: int) -> Report:
 
 def verify_fib_2f1_representations(n: int) -> Report:
     """Both single-series representations of F_n against the recurrence."""
-    minus4 = fibonacci_as_2f1(n, FibonacciSeriesVariant.ARG_MINUS_4)
-    arg5 = fibonacci_as_2f1(n, FibonacciSeriesVariant.ARG_5)
+    minus4, arg5 = fibonacci_as_2f1(n)
     expected = Fraction(fibonacci_number(n))
     return make_report(
         "fib-2f1", {"n": n}, [Check("arg(-4)", minus4, expected), Check("arg(5)", arg5, expected)]

@@ -23,7 +23,6 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from .connection import Direction, oracle_expand, terms
@@ -227,11 +226,6 @@ def _members_at_nodes(basis: Basis, xs: list[float]) -> Iterator[tuple[list[floa
         cur = [a + d for a, d in zip(cur, diff)]
 
 
-def _member_at_nodes(basis: Basis, index: int, xs: list[float]) -> tuple[list[float], int]:
-    """(values, e): member ``index`` of ``basis`` at xs is values * 2^e, by ``_members_at_nodes``."""
-    return next(islice(_members_at_nodes(basis, xs), index, None))
-
-
 class _Row:
     """What the pairs of one row factor P (F_{j+1} in a sweep) and one weight share.
 
@@ -295,7 +289,7 @@ class _Row:
     def quadrature_terms(self, factor: Factor) -> tuple[list[float], int]:
         """(terms, e): the terms w p(x) of the row's rule for p = P times ``factor``, over 2^e."""
         if self._values is None:
-            self._values = _member_at_nodes(*self.factor, self.xs)
+            self._values = self._at_nodes(self.factor)
         (first, e), (second, f) = self._values, self._at_nodes(factor)
         half = [w * (u * v) for (_, w), u, v in zip(self.nodes, first, second)]
         sign = -1.0 if (self.degree + _degree(factor)) % 2 else 1.0  # p(-x) = sign p(x)

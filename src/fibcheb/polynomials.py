@@ -33,8 +33,10 @@ class Polynomial:
         den = math.lcm(*(c.denominator for c in cs))
         self._store([c.numerator * (den // c.denominator) for c in cs], den)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Polynomial is immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors --------------------------------------------------------
 

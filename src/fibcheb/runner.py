@@ -18,8 +18,12 @@ import math
 import os
 from fractions import Fraction
 from functools import partial
-from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple
+
+try:  # the C escaper that json.encoder uses, without loading the json package
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from . import connection, identities, integrals
 from .report import Check, Report, Status, Verdict, make_report

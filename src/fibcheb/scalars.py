@@ -91,8 +91,10 @@ class GaussianRational:
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("GaussianRational is immutable")
+
+    __delattr__ = __setattr__
 
     # -- helpers -----------------------------------------------------------
 
@@ -103,12 +105,6 @@ class GaussianRational:
         if isinstance(value, (int, Fraction)):
             return GaussianRational(value, 0)
         return None
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
     # -- arithmetic --------------------------------------------------------
 
@@ -147,15 +143,15 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """(a + bi) / (c + di) = ((ac + bd) + (bc - ad) i) / (c^2 + d^2)."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n2 = other.norm_squared()
+        (a, b), (c, d) = (self.re, self.im), (other.re, other.im)
+        n2 = c * c + d * d
         if n2 == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        conj = other.conjugate()
-        prod = self * conj
-        return GaussianRational(prod.re / n2, prod.im / n2)
+        return GaussianRational((a * c + b * d) / n2, (b * c - a * d) / n2)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)

@@ -34,7 +34,7 @@ from fibcheb import (
     verify_cor_sum_U,
     verify_derivative_corollaries,
 )
-from fibcheb.hypergeometric import FibonacciSeriesVariant, Hyp2F1, eval_2f1, fibonacci_as_2f1
+from fibcheb.hypergeometric import Hyp2F1, eval_2f1, fibonacci_as_2f1
 from fibcheb.integrals import Weight
 from fibcheb.runner import render_json
 from fibcheb.scalars import I, binomial, pochhammer
@@ -123,9 +123,7 @@ def test_criterion_6_hypergeometric_representations():
     ok = True
     for n in range(1, 101):
         expected = fibonacci_number(n)
-        if fibonacci_as_2f1(n, FibonacciSeriesVariant.ARG_MINUS_4) != expected:
-            ok = False
-        if fibonacci_as_2f1(n, FibonacciSeriesVariant.ARG_5) != expected:
+        if fibonacci_as_2f1(n) != (expected, expected):
             ok = False
     for j in range(JMAX + 1):
         for m in range(j // 2 + 1):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibcheb import (
-    FibonacciSeriesVariant,
     Hyp2F1,
     NonTerminatingError,
     ZeroDenominatorError,
@@ -119,15 +118,13 @@ class TestEval2F1:
 
 class TestFibonacciRepresentations:
     def test_examples(self):
-        assert fibonacci_as_2f1(3, FibonacciSeriesVariant.ARG_MINUS_4) == 2
-        assert fibonacci_as_2f1(3, FibonacciSeriesVariant.ARG_5) == 2
-        assert fibonacci_as_2f1(1, FibonacciSeriesVariant.ARG_5) == 1
+        assert fibonacci_as_2f1(3) == (2, 2)
+        assert fibonacci_as_2f1(1) == (1, 1)
 
     def test_both_variants_match_recurrence_to_100(self):
         for n in range(1, 101):
             expected = fibonacci_number(n)
-            assert fibonacci_as_2f1(n, FibonacciSeriesVariant.ARG_MINUS_4) == expected
-            assert fibonacci_as_2f1(n, FibonacciSeriesVariant.ARG_5) == expected
+            assert fibonacci_as_2f1(n) == (expected, expected)
 
     def test_lower_parameter_never_vanishes_before_termination(self):
         # c = 1-n stays clear of zero through the termination index
@@ -139,7 +136,7 @@ class TestFibonacciRepresentations:
 
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
-            fibonacci_as_2f1(0, FibonacciSeriesVariant.ARG_5)
+            fibonacci_as_2f1(0)
 
 
 class TestPfaffTransform:

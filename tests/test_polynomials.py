@@ -1,5 +1,6 @@
 """Dense exact polynomial arithmetic."""
 
+import copy
 import math
 import pickle
 from fractions import Fraction
@@ -248,3 +249,8 @@ class TestSerialization:
         p = Polynomial((1, 2))
         with pytest.raises(AttributeError):
             p.coeffs = ()
+        for name in ("_nums", "_den"):
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        for copied in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert copied == p and copied.coeffs == (1, 2)

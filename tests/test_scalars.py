@@ -1,6 +1,8 @@
 """Exact scalar arithmetic, combinatorial helpers, Gaussian rationals."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -127,12 +129,15 @@ class TestGaussianRational:
 
     @given(rationals, rationals, rationals, rationals)
     def test_mul_matches_complex(self, a, b, c, d):
-        z = GaussianRational(a, b) * GaussianRational(c, d)
+        u, v = GaussianRational(a, b), GaussianRational(c, d)
+        z = u * v
         assert z.re == a * c - b * d
         assert z.im == a * d + b * c
+        if v != 0:
+            assert (u / v) * v == u
 
     def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match="division by zero GaussianRational"):
             GaussianRational(1, 1) / GaussianRational(0, 0)
 
     def test_serialization(self):
@@ -144,6 +149,11 @@ class TestGaussianRational:
         z = GaussianRational(1, 1)
         with pytest.raises(AttributeError):
             z.re = Fraction(2)
+        for name in ("re", "im"):
+            with pytest.raises(AttributeError):
+                delattr(z, name)
+        for copied in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z)):
+            assert copied == z and type(copied) is GaussianRational
 
 
 class TestLatticeParts:
