@@ -29,6 +29,12 @@ GOLDEN = {
         ["verify", "--suite", "cor52", "--jmax", "36", "--qmax", "5", "--format", "json"], 0),
     "verify_complex_j36.json.sha256": (
         ["verify", "--suite", "complex", "--jmax", "36", "--format", "json"], 0),
+    # the other exact identity suites at the same grid, each held byte for byte
+    **{
+        f"verify_{suite}_j36_q5.json.sha256": (
+            ["verify", "--suite", suite, "--jmax", "36", "--qmax", "5", "--format", "json"], 0)
+        for suite in ("cor51", "chain", "laurent", "fib2f1", "lemma", "connection")
+    },
     # the integral sweep: two exact routes and the quadrature for every (j, k, kind)
     "verify_integrals_j40.json.sha256": (
         ["verify", "--suite", "integrals", "--jmax", "40", "--format", "json"], 0),
