@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple
 
 from .hypergeometric import hyp2f1
 from .polynomials import Polynomial
-from .scalars import binomial
+from .scalars import binomial, dyadic_ratio, lattice_sum
 from .sequences import Basis, c_norm
 
 
@@ -81,36 +81,30 @@ class Expansion(NamedTuple):
 
 
 def _coefficient(j: int, m: int, direction: Direction) -> Fraction:
+    """c(j, m) by its printed closed form, reduced once.
+
+    The factors stay in the paper's order, multiplied as one integer numerator and one denominator:
+    the 2F1 value split into its two integers, the power of two a shift.
+    """
     if direction is Direction.T_IN_F:
-        return (
-            Fraction(j)
-            * (-1) ** m
-            * binomial(j - m, j - 2 * m)
-            * Fraction(2) ** (j - 2 * m - 1)
-            / (j - m)
-            * hyp2f1(-m, j - m, j - 2 * m + 2, -4)
-        )
+        # j (-1)^m C(j-m, j-2m) 2^(j-2m-1) / (j-m) 2F1(-m, j-m; j-2m+2; -4)
+        h = hyp2f1(-m, j - m, j - 2 * m + 2, -4)
+        num = j * (-1) ** m * binomial(j - m, j - 2 * m) * h.numerator
+        return dyadic_ratio(num, (j - m) * h.denominator, j - 2 * m - 1)
     if direction is Direction.U_IN_F:
-        return (
-            Fraction(2) ** j
-            * (-1) ** (m + 1)
-            * binomial(j, m)
-            * Fraction(-j + 2 * m - 1, j - m + 1)
-            * hyp2f1(-m, -j + m - 1, -j, Fraction(-1, 4))
-        )
+        # 2^j (-1)^(m+1) C(j, m) (-j+2m-1)/(j-m+1) 2F1(-m, -j+m-1; -j; -1/4)
+        h = hyp2f1(-m, -j + m - 1, -j, Fraction(-1, 4))
+        num = (-1) ** (m + 1) * binomial(j, m) * (-j + 2 * m - 1) * h.numerator
+        return dyadic_ratio(num, (j - m + 1) * h.denominator, j)
     if direction is Direction.F_IN_T:
-        return (
-            Fraction(1) / c_norm(j - 2 * m)
-            * binomial(j - m, j - 2 * m)
-            * Fraction(2) ** (-j + 2 * m + 1)
-            * hyp2f1(-m, j - m + 1, j - 2 * m + 1, Fraction(-1, 4))
-        )
-    return (
-        Fraction(1, 2**j)
-        * binomial(j, m)
-        * Fraction(j - 2 * m + 1, j - m + 1)
-        * d_coefficient(j, m)
-    )
+        # 1/c_(j-2m) C(j-m, j-2m) 2^(-j+2m+1) 2F1(-m, j-m+1; j-2m+1; -1/4)
+        h = hyp2f1(-m, j - m + 1, j - 2 * m + 1, Fraction(-1, 4))
+        num = binomial(j - m, j - 2 * m) * h.numerator
+        return dyadic_ratio(num, c_norm(j - 2 * m) * h.denominator, -j + 2 * m + 1)
+    # 1/2^j C(j, m) (j-2m+1)/(j-m+1) d(j, m)
+    d = d_coefficient(j, m)
+    num = binomial(j, m) * (j - 2 * m + 1) * d.numerator
+    return dyadic_ratio(num, (j - m + 1) * d.denominator, -j)
 
 
 @lru_cache(maxsize=None)
@@ -230,21 +224,22 @@ def lemma_recurrence_holds(j: int, m: int) -> bool:
           + C(j-1, m)(j-2m)(j-m+1) d(j-1, m)
           - C(j, m)(j-m)(j-2m+1) d(j, m)
 
-    and reports whether it is zero.  Terms whose binomial factor vanishes are
-    dropped without evaluating their series value (whose indices would be out
-    of range), so the m = 0 column holds trivially.
+    as four integer pairs over the lcm of their denominators, and reports whether it is zero.
+    Terms whose binomial factor vanishes are dropped without evaluating their series value
+    (whose indices would be out of range), so the m = 0 column holds trivially.
     """
 
-    def term(bin_n: int, bin_k: int, scale: int, dj: int, dm: int) -> Fraction:
+    def term(bin_n: int, bin_k: int, scale: int, dj: int, dm: int) -> tuple[int, int]:
         b = binomial(bin_n, bin_k) if bin_n >= 0 else 0
         if b == 0:
-            return Fraction(0)
-        return b * scale * d_coefficient(dj, dm)
+            return 0, 1
+        d = d_coefficient(dj, dm)
+        return b * scale * d.numerator, d.denominator
 
-    total = (
-        term(j - 2, m - 1, 4 * (j - 2 * m + 1) * (j - m + 1), j - 2, m - 1)
-        + term(j - 1, m - 1, (j - 2 * m + 2) * (j - m), j - 1, m - 1)
-        + term(j - 1, m, (j - 2 * m) * (j - m + 1), j - 1, m)
-        - term(j, m, (j - m) * (j - 2 * m + 1), j, m)
-    )
+    total, _ = lattice_sum((
+        term(j - 2, m - 1, 4 * (j - 2 * m + 1) * (j - m + 1), j - 2, m - 1),
+        term(j - 1, m - 1, (j - 2 * m + 2) * (j - m), j - 1, m - 1),
+        term(j - 1, m, (j - 2 * m) * (j - m + 1), j - 1, m),
+        term(j, m, -(j - m) * (j - 2 * m + 1), j, m),
+    ))
     return total == 0

@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 from .connection import Direction, terms
 from .hypergeometric import fibonacci_as_2f1, hyp2f1
 from .report import Check, Report, make_report
-from .scalars import GaussianRational, I, binomial, lattice_parts, pochhammer, sqrt_pi_over_gamma
+from .scalars import GaussianRational, I, binomial, dyadic_ratio, lattice_parts, lattice_sum, sqrt_pi_over_gamma
 from .sequences import (
     Basis,
     c_norm,
@@ -147,31 +147,29 @@ def verify_2f1_chain(j: int) -> Report:
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     expected = Fraction(fibonacci_number(j + 1))
-    sum_one_fifth = Fraction(2) ** (1 - j) * sum(
-        Fraction(5) ** m / c_norm(j - 2 * m)
-        * binomial(j - m, j - 2 * m)
-        * hyp2f1(-m, -m, j - 2 * m + 1, Fraction(1, 5))
-        for m in range(j // 2 + 1)
-    )
-    four_fifths_sum = sum(
-        Fraction(5) ** m
-        * binomial(j, m)
-        * Fraction((j - 2 * m + 1) ** 2, j - m + 1)
-        * hyp2f1(-m, 1 - m, -j, Fraction(4, 5))
-        for m in range(j // 2 + 1)
-    )
+    # the two m-sums, each term an integer pair, over a running lcm; each member reduced once
+    one_fifth, four_fifths = [], []
+    for m in range(j // 2 + 1):
+        # 5^m / c_(j-2m) C(j-m, j-2m) 2F1(-m, -m; j-2m+1; 1/5)
+        h = hyp2f1(-m, -m, j - 2 * m + 1, Fraction(1, 5))
+        one_fifth.append((5**m * binomial(j - m, j - 2 * m) * h.numerator, c_norm(j - 2 * m) * h.denominator))
+        # 5^m C(j, m) (j-2m+1)^2 / (j-m+1) 2F1(-m, 1-m; -j; 4/5)
+        h = hyp2f1(-m, 1 - m, -j, Fraction(4, 5))
+        num = 5**m * binomial(j, m) * (j - 2 * m + 1) ** 2 * h.numerator
+        four_fifths.append((num, (j - m + 1) * h.denominator))
+    p, q = lattice_sum(four_fifths)
+    printed_tail = dyadic_ratio(p, q, -j)  # printed prefactor 1/2^j: equals F_{j+1}, not the 2F1(5) value
+    corrected_tail = Fraction(p, q * (j + 1))
     minus4, arg5 = fibonacci_as_2f1(j + 1)
     checks = [
         Check("2F1(-4)", minus4, expected),
         Check("2F1(5)-scaled", arg5, expected),
         Check("sum(-1/4)", _fib_sum_first_kind(j), expected),
         Check("sum(-4)", _fib_sum_second_kind(j), expected),
-        Check("sum(1/5)", sum_one_fifth, expected),
-        Check("sum(4/5)", Fraction(1, 2**j) * four_fifths_sum, expected),
+        Check("sum(1/5)", dyadic_ratio(*lattice_sum(one_fifth), 1 - j), expected),
+        Check("sum(4/5)", printed_tail, expected),
     ]
     head_arg5 = hyp2f1(Fraction(-j, 2), Fraction(1 - j, 2), Fraction(3, 2), 5)
-    printed_tail = Fraction(1, 2**j) * four_fifths_sum  # printed: equals 2F1(5) value
-    corrected_tail = Fraction(1, j + 1) * four_fifths_sum
     note = ""
     if printed_tail != head_arg5:
         note = (
@@ -280,11 +278,20 @@ def verify_trig_identity(j: int, theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _rising(a: int, k: int) -> int:
+    """The rising factorial (a)_k of an integer a, as an integer."""
+    return math.prod(range(a, a + k))
+
+
 @lru_cache(maxsize=None)
 def _t_deriv_at_1(q: int, n: int) -> Fraction:
-    """T_n^(q)(1) as printed: (-1)^(q+1) sqrt(pi)/Gamma(q+1/2) 2^-q n^2 (n+1)_(q-1) (1-n)_(q-1)."""
-    prefactor = Fraction((-1) ** (q + 1)) * sqrt_pi_over_gamma(q, Fraction(1, 2)) / 2**q
-    return prefactor * n**2 * pochhammer(n + 1, q - 1) * pochhammer(1 - n, q - 1)
+    """T_n^(q)(1) as printed: (-1)^(q+1) sqrt(pi)/Gamma(q+1/2) 2^-q n^2 (n+1)_(q-1) (1-n)_(q-1).
+
+    The Gamma ratio enters as its two integers and 2^-q as a shift; the value is reduced once.
+    """
+    s = sqrt_pi_over_gamma(q, Fraction(1, 2))
+    num = (-1) ** (q + 1) * s.numerator * n**2 * _rising(n + 1, q - 1) * _rising(1 - n, q - 1)
+    return dyadic_ratio(num, s.denominator, -q)
 
 
 @lru_cache(maxsize=None)
@@ -294,10 +301,12 @@ def _u_deriv_at_1(q: int, n: int, *, include_missing_factor: bool) -> Fraction:
     The second-kind derivative formula for F^(q)_{j+1} lacks the rising
     factorial (1-n)_(q-1) that formal differentiation of the parent expansion
     produces; with the factor restored the value is U_n^(q)(1) for every q.
+    Reduced once, as ``_t_deriv_at_1`` is.
     """
-    prefactor = Fraction((-1) ** (q + 1)) * sqrt_pi_over_gamma(q, Fraction(3, 2)) / 2 ** (q + 1)
-    printed = prefactor * pochhammer(n, 3) * pochhammer(n + 3, q - 1)
-    return printed * pochhammer(1 - n, q - 1) if include_missing_factor else printed
+    s = sqrt_pi_over_gamma(q, Fraction(3, 2))
+    missing = _rising(1 - n, q - 1) if include_missing_factor else 1
+    num = (-1) ** (q + 1) * s.numerator * _rising(n, 3) * _rising(n + 3, q - 1) * missing
+    return dyadic_ratio(num, s.denominator, -q - 1)
 
 
 def verify_derivative_corollaries(j: int, q: int) -> Report:

@@ -3,8 +3,8 @@
 Every coefficient in the library is an exact rational; ``fractions.Fraction``
 already provides the canonical reduced form (positive denominator, gcd 1,
 zero as 0/1), so it is used directly as the rational scalar type.  This module
-adds the Gaussian rational (exact complex) scalar and the small combinatorial
-helpers every coefficient formula is built from.
+adds the Gaussian rational (exact complex) scalar and the small combinatorial and
+integer-lattice helpers every coefficient formula is built from.
 """
 
 from __future__ import annotations
@@ -40,6 +40,22 @@ def pochhammer(a: RationalLike, k: int) -> Fraction:
     # (p/q)_k = prod (p + i q) / q^k, over integers and reduced once
     p, q = a.numerator, a.denominator
     return Fraction(math.prod(p + i * q for i in range(k)), q**k)
+
+
+def dyadic_ratio(num: int, den: int, e: int) -> Fraction:
+    """num / den * 2^e as one reduced Fraction: the power of two is a shift, and one gcd reduces it."""
+    return Fraction(num << e, den) if e >= 0 else Fraction(num, den << -e)
+
+
+def lattice_sum(pairs) -> tuple[int, int]:
+    """The sum of the fractions p / q over integer pairs, as (P, Q) over a running lcm Q, unreduced."""
+    total, den = 0, 1
+    for p, q in pairs:
+        if den % q:
+            lcm = math.lcm(den, q)
+            total, den = total * (lcm // den), lcm
+        total += den // q * p
+    return total, den
 
 
 def double_factorial(n: int) -> int:

@@ -8,6 +8,7 @@ may then rely on either construction.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -38,9 +39,9 @@ class Basis(Enum):
         return chebyshev_t(index) if self is Basis.CHEBYSHEV_T else chebyshev_u(index)
 
 
-def c_norm(n: int) -> Fraction:
+def c_norm(n: int) -> int:
     """First-kind orthogonality normalizer: 2 at n = 0, otherwise 1."""
-    return Fraction(2) if n == 0 else Fraction(1)
+    return 2 if n == 0 else 1
 
 
 _ZERO = Polynomial.zero()
@@ -154,21 +155,19 @@ def fibonacci_deriv_at_1(q: int, n: int) -> Fraction:
 def cheb_deriv_at_1(kind: Basis, q: int, n: int) -> Fraction:
     """q-th derivative of T_n or U_n at x = 1 from the closed-form product.
 
-    Requires q >= 1 (the q = 0 values are the plain endpoint evaluations
-    T_n(1) = 1 and U_n(1) = n + 1; evaluate the polynomial for those).
+    T_n^(q)(1) = prod_{i<q} (n-i)(n+i) / (2i+1) and U_n^(q)(1) = (n+1)
+    prod_{i<q} (n-i)(n+i+2) / (2i+3), each one integer product over another,
+    reduced once.  Requires q >= 1 (the q = 0 values are the plain endpoint
+    evaluations T_n(1) = 1 and U_n(1) = n + 1; evaluate the polynomial for
+    those).
     """
     if q < 1:
         raise ValueError("closed form requires q >= 1; evaluate the polynomial for q = 0")
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     if kind is Basis.CHEBYSHEV_T:
-        out = Fraction(1)
-        for i in range(q):
-            out *= Fraction((n - i) * (n + i), 2 * i + 1)
-        return out
+        return Fraction(math.prod((n - i) * (n + i) for i in range(q)), math.prod(2 * i + 1 for i in range(q)))
     if kind is Basis.CHEBYSHEV_U:
-        out = Fraction(n + 1)
-        for i in range(q):
-            out *= Fraction((n - i) * (n + i + 2), 2 * i + 3)
-        return out
+        top = (n + 1) * math.prod((n - i) * (n + i + 2) for i in range(q))
+        return Fraction(top, math.prod(2 * i + 3 for i in range(q)))
     raise ValueError(f"kind must be a Chebyshev family, got {kind}")

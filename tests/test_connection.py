@@ -12,13 +12,18 @@ from fibcheb import (
     Basis,
     Direction,
     Polynomial,
+    binomial,
+    c_norm,
     chebyshev_t,
+    d_coefficient,
     expand,
     fibonacci_poly,
+    hyp2f1,
     lemma_recurrence_holds,
     oracle_expand,
 )
-from fibcheb.connection import Expansion, ExpansionTerm, table_rows, terms
+from fibcheb import connection
+from fibcheb.connection import Expansion, ExpansionTerm, _coefficient, table_rows, terms
 
 
 def rebuild_elimination(p, basis):
@@ -36,6 +41,35 @@ def rebuild_elimination(p, basis):
     return out
 
 
+def stepwise_coefficient(j, m, direction):
+    """Reference: the printed closed form of c(j, m), multiplied out one Fraction factor at a time."""
+    if direction is Direction.T_IN_F:
+        return (
+            Fraction(j)
+            * (-1) ** m
+            * binomial(j - m, j - 2 * m)
+            * Fraction(2) ** (j - 2 * m - 1)
+            / (j - m)
+            * hyp2f1(-m, j - m, j - 2 * m + 2, -4)
+        )
+    if direction is Direction.U_IN_F:
+        return (
+            Fraction(2) ** j
+            * (-1) ** (m + 1)
+            * binomial(j, m)
+            * Fraction(-j + 2 * m - 1, j - m + 1)
+            * hyp2f1(-m, -j + m - 1, -j, Fraction(-1, 4))
+        )
+    if direction is Direction.F_IN_T:
+        return (
+            Fraction(1) / c_norm(j - 2 * m)
+            * binomial(j - m, j - 2 * m)
+            * Fraction(2) ** (-j + 2 * m + 1)
+            * hyp2f1(-m, j - m + 1, j - 2 * m + 1, Fraction(-1, 4))
+        )
+    return Fraction(1, 2**j) * binomial(j, m) * Fraction(j - 2 * m + 1, j - m + 1) * d_coefficient(j, m)
+
+
 rational_polys = st.lists(
     st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=15), max_size=14
 ).map(Polynomial)
@@ -43,6 +77,17 @@ rational_polys = st.lists(
 
 def coefficients(j, direction):
     return {t.target_index: t.coefficient for t in expand(j, direction).terms}
+
+
+class TestClosedFormOnTheLattice:
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_equals_the_stepwise_fractions(self, direction):
+        # every m of every j <= 60, from j = 0 wherever the closed form is defined
+        for j in range(1 if direction is Direction.T_IN_F else 0, 61):
+            for m in range(j // 2 + 1):
+                got = _coefficient(j, m, direction)
+                assert type(got) is Fraction
+                assert got == stepwise_coefficient(j, m, direction), (direction, j, m)
 
 
 class TestDirection:
@@ -273,3 +318,15 @@ class TestLemmaRecurrence:
         for j in range(2, 41):
             for m in range(1, j // 2 + 1):
                 assert lemma_recurrence_holds(j, m), (j, m)
+
+    def test_fails_when_one_series_value_is_off(self, monkeypatch):
+        # the integer sum must see a perturbation of any one of its four terms
+        for j, m in ((6, 2), (9, 3), (30, 7)):
+            for dj, dm in ((j - 2, m - 1), (j - 1, m - 1), (j - 1, m), (j, m)):
+                def off(a, b, dj=dj, dm=dm):
+                    return d_coefficient(a, b) + (Fraction(1, 3) if (a, b) == (dj, dm) else 0)
+
+                monkeypatch.setattr(connection, "d_coefficient", off)
+                assert not lemma_recurrence_holds(j, m), (j, m, dj, dm)
+                monkeypatch.undo()
+            assert lemma_recurrence_holds(j, m)

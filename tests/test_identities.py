@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from fibcheb import (
     Status,
+    binomial,
+    c_norm,
     fibonacci_number,
+    hyp2f1,
     sqrt_pi_over_gamma,
     verify_2f1_chain,
     verify_complex_identities,
@@ -158,6 +161,30 @@ class TestChain:
             report = verify_2f1_chain(j)
             assert all(c.ok for c in report.checks), j
             assert report.corrected_residual == 0, j
+
+    def test_sums_equal_the_stepwise_fractions(self):
+        # reference: the two printed m-sums, multiplied out one Fraction factor at a time
+        for j in range(41):
+            sum_one_fifth = Fraction(2) ** (1 - j) * sum(
+                Fraction(5) ** m / c_norm(j - 2 * m)
+                * binomial(j - m, j - 2 * m)
+                * hyp2f1(-m, -m, j - 2 * m + 1, Fraction(1, 5))
+                for m in range(j // 2 + 1)
+            )
+            four_fifths_sum = sum(
+                Fraction(5) ** m
+                * binomial(j, m)
+                * Fraction((j - 2 * m + 1) ** 2, j - m + 1)
+                * hyp2f1(-m, 1 - m, -j, Fraction(4, 5))
+                for m in range(j // 2 + 1)
+            )
+            head_arg5 = hyp2f1(Fraction(-j, 2), Fraction(1 - j, 2), Fraction(3, 2), 5)
+            report = verify_2f1_chain(j)
+            members = {c.name: c.lhs for c in report.checks}
+            assert members["sum(1/5)"] == sum_one_fifth, j
+            assert members["sum(4/5)"] == Fraction(1, 2**j) * four_fifths_sum, j
+            assert report.printed_residual == Fraction(1, 2**j) * four_fifths_sum - head_arg5, j
+            assert report.corrected_residual == Fraction(1, j + 1) * four_fifths_sum - head_arg5, j
 
 
 class TestComplexIdentities:

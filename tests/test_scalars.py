@@ -15,7 +15,7 @@ from fibcheb import (
     pochhammer,
     sqrt_pi_over_gamma,
 )
-from fibcheb.scalars import I, double_factorial, lattice_parts
+from fibcheb.scalars import I, double_factorial, dyadic_ratio, lattice_parts, lattice_sum
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -168,3 +168,19 @@ class TestLatticeParts:
         p, r, q = lattice_parts(GaussianRational(re, im))
         assert (Fraction(p, q), Fraction(r, q)) == (re, im)
         assert q == math.lcm(re.denominator, im.denominator)
+
+
+class TestLatticeArithmetic:
+    @given(st.integers(min_value=-10**20, max_value=10**20), st.integers(min_value=1, max_value=10**9),
+           st.integers(min_value=-80, max_value=80))
+    def test_dyadic_ratio_is_the_reduced_product(self, num, den, e):
+        got = dyadic_ratio(num, den, e)
+        assert got == Fraction(num, den) * Fraction(2) ** e
+        assert math.gcd(got.numerator, got.denominator) == 1
+
+    @given(st.lists(st.tuples(st.integers(min_value=-10**12, max_value=10**12),
+                              st.integers(min_value=1, max_value=10**6))))
+    def test_lattice_sum_over_the_lcm_of_the_denominators(self, pairs):
+        total, den = lattice_sum(pairs)
+        assert Fraction(total, den) == sum((Fraction(p, q) for p, q in pairs), Fraction(0))
+        assert den == math.lcm(1, *(q for _, q in pairs))
