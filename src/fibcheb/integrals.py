@@ -364,10 +364,7 @@ def quadrature_deviation(factors: tuple[Factor, Factor], weight: Weight, exact: 
 
 
 def printed_fib_cheb_t(j: int, k: int) -> PiMultiple:
-    """Published value of the first-kind integral of F_{j+1} T_k (verbatim), reduced once.
-
-    C((j+k)/2, k) / 2^k / c_k 2F1((k-j)/2, (j+k+2)/2; k+1; -1/4) pi
-    """
+    """Published value of the first-kind integral of F_{j+1} T_k (verbatim), reduced once."""
     if (j + k) % 2 == 1:
         return ZERO_PI
     h = hyp2f1(Fraction(k - j, 2), Fraction(j + k + 2, 2), k + 1, Fraction(-1, 4))
@@ -375,10 +372,7 @@ def printed_fib_cheb_t(j: int, k: int) -> PiMultiple:
 
 
 def printed_fib_cheb_u(j: int, k: int) -> PiMultiple:
-    """Published value of the second-kind integral of F_{j+1} U_k (verbatim), reduced once.
-
-    C(j, (j-k)/2) (k+1) / (2^j (j+k+2)) 2F1((k-j)/2, -(j+k+2)/2; -j; -4) pi
-    """
+    """Published value of the second-kind integral of F_{j+1} U_k (verbatim), reduced once."""
     if (j + k) % 2 == 1:
         return ZERO_PI
     h = hyp2f1(Fraction(k - j, 2), Fraction(-(j + k + 2), 2), -j, -4)

@@ -153,13 +153,10 @@ def fibonacci_deriv_at_1(q: int, n: int) -> Fraction:
 
 
 def cheb_deriv_at_1(kind: Basis, q: int, n: int) -> Fraction:
-    """q-th derivative of T_n or U_n at x = 1 from the closed-form product.
+    """q-th derivative of T_n or U_n at x = 1: one integer product over another, reduced once.
 
-    T_n^(q)(1) = prod_{i<q} (n-i)(n+i) / (2i+1) and U_n^(q)(1) = (n+1)
-    prod_{i<q} (n-i)(n+i+2) / (2i+3), each one integer product over another,
-    reduced once.  Requires q >= 1 (the q = 0 values are the plain endpoint
-    evaluations T_n(1) = 1 and U_n(1) = n + 1; evaluate the polynomial for
-    those).
+    Requires q >= 1 (the q = 0 values are the plain endpoint evaluations
+    T_n(1) = 1 and U_n(1) = n + 1; evaluate the polynomial for those).
     """
     if q < 1:
         raise ValueError("closed form requires q >= 1; evaluate the polynomial for q = 0")
