@@ -4,7 +4,9 @@ Four directions are generated directly from their closed-form coefficient
 sums (kept verbatim, prefactors included, so a transcription slip cannot hide
 behind algebraic simplification), and an independent triangular-elimination
 oracle recovers the same expansion from the polynomials alone.  The two
-routes must agree term by term.
+routes must agree term by term.  Each row is cached once as ``terms`` and,
+derived from it, as ``row``: integers over one common denominator, which the
+corollary sums and the round trip read as integer dot products.
 
 Tables take a third route: ``table_rows`` builds each whole row of
 coefficients from the two rows before it by the family relations, in integer
@@ -72,12 +74,21 @@ class Expansion(NamedTuple):
         return {t.target_index: t.coefficient for t in self.terms}
 
     def reconstruct(self) -> Polynomial:
-        """Sum coefficient * basis element; must equal the source polynomial."""
-        basis = self.direction.target_basis
-        total = Polynomial.zero()
-        for t in self.terms:
-            total = total + basis.member(t.target_index) * t.coefficient
-        return total
+        """Sum coefficient * basis element; must equal the source polynomial.
+
+        One integer vector over the expansion's ``row``: nums[m] times each target member's integer
+        numerators, over D times the lcm of the members' denominators, reduced once.
+        """
+        indices, nums, den = row(self.j, self.direction)
+        members = [self.direction.target_basis.member(index).integer_form() for index in indices]
+        scale = math.lcm(*(d for _, d in members))  # 1: the family members are integer polynomials
+        out = [0] * max(len(elem) for elem, _ in members)
+        for c, (elem, d) in zip(nums, members):
+            c *= scale // d
+            for i, e in enumerate(elem):
+                if e:
+                    out[i] += c * e
+        return Polynomial._from_lattice(out, den * scale)
 
 
 def _coefficient(j: int, m: int, direction: Direction) -> Fraction:
@@ -122,6 +133,18 @@ def terms(j: int, direction: Direction) -> tuple[ExpansionTerm, ...]:
         ExpansionTerm(m, j - 2 * m + shift, _coefficient(j, m, direction))
         for m in range(j // 2 + 1)
     )
+
+
+@lru_cache(maxsize=None)
+def row(j: int, direction: Direction) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """``terms(j, direction)`` on one denominator, (target indices, nums, D) with c(j, m) = nums[m] / D.
+
+    D is the least common denominator, so gcd(D, *nums) = 1; the corollary sums and the round trip read it.
+    """
+    ts = terms(j, direction)
+    den = math.lcm(*(t.coefficient.denominator for t in ts))
+    nums = tuple(t.coefficient.numerator * (den // t.coefficient.denominator) for t in ts)
+    return tuple(t.target_index for t in ts), nums, den
 
 
 @lru_cache(maxsize=None)

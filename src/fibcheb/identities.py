@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .connection import Direction, terms
+from .connection import Direction, row, terms
 from .hypergeometric import fibonacci_as_2f1, hyp2f1
 from .report import Check, Report, make_report
 from .scalars import GaussianRational, I, binomial, dyadic_ratio, lattice_parts, lattice_sum, sqrt_pi_over_gamma
@@ -45,26 +45,29 @@ def _expansion_at(j: int, direction: Direction, value_at):
     Sums c(j, m) * value_at(target index) over the terms of the expansion, so
     every corollary that evaluates an expansion at a special point (x = 1,
     a Laurent point, cos t, i/2, -2i) reuses the one transcription of its
-    coefficients in ``connection``.  Each term is an integer pair over
-    c.denominator * q, with the value written (p + r i) / q by
-    ``lattice_parts``; the pairs are summed over a running lcm of those
-    denominators and reduced once, to a ``Fraction``, or to a
+    coefficients in ``connection``.  It is an integer dot product over the
+    expansion's ``row``, c(j, m) = nums[m] / D: an ``int`` value enters as it
+    is, any other as (p + r i) / q by ``lattice_parts``, over a running lcm Q
+    of those q.  The sum is reduced once, over D Q, to a ``Fraction``, or to a
     ``GaussianRational`` if any value was Gaussian.
     """
-    acc_re, acc_im, den, gaussian = 0, 0, 1, False
-    for _, n, c in terms(j, direction):
+    indices, nums, den = row(j, direction)
+    acc_re, acc_im, q_all, gaussian = 0, 0, 1, False
+    for n, c in zip(indices, nums):
         value = value_at(n)
+        if type(value) is int:
+            acc_re += c * q_all * value
+            continue
         gaussian = gaussian or isinstance(value, GaussianRational)
         p, r, q = lattice_parts(value)
-        d = c.denominator * q
-        if den % d:
-            lcm = math.lcm(den, d)
-            acc_re, acc_im, den = acc_re * (lcm // den), acc_im * (lcm // den), lcm
-        scale = den // d * c.numerator
-        acc_re += scale * p
-        acc_im += scale * r
-    total = Fraction(acc_re, den)
-    return GaussianRational(total, Fraction(acc_im, den)) if gaussian else total
+        if q_all % q:
+            lcm = math.lcm(q_all, q)
+            acc_re, acc_im, q_all = acc_re * (lcm // q_all), acc_im * (lcm // q_all), lcm
+        c *= q_all // q
+        acc_re += c * p
+        acc_im += c * r
+    total = Fraction(acc_re, den * q_all)
+    return GaussianRational(total, Fraction(acc_im, den * q_all)) if gaussian else total
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +312,11 @@ def _u_deriv_at_1(q: int, n: int, *, include_missing_factor: bool) -> Fraction:
     return dyadic_ratio(num, s.denominator, -q - 1)
 
 
+def _over(value: Fraction, divisor: int) -> Fraction:
+    """value / divisor (divisor > 0) as one Fraction over the value's own two integers, reduced once."""
+    return Fraction(value.numerator, value.denominator * divisor)
+
+
 def verify_derivative_corollaries(j: int, q: int) -> Report:
     """The four derivative-sequence formulas at one (j, q).
 
@@ -334,14 +342,14 @@ def verify_derivative_corollaries(j: int, q: int) -> Report:
     # T_j^(q)(1) / j and U_j^(q)(1) / 2^j, the latter with (1-j)_(q-1).
     if j >= 1:
         sum_T = _expansion_at(j, Direction.T_IN_F, partial(fibonacci_deriv_at_1, q))
-        checks.append(Check("sum-T", sum_T / j, _t_deriv_at_1(q, j) / j))
+        checks.append(Check("sum-T", _over(sum_T, j), _over(_t_deriv_at_1(q, j), j)))
         checks.append(Check("sum-T-vs-DqT", sum_T, cheb_deriv_at_1(Basis.CHEBYSHEV_T, q, j)))
     else:
         note = "sum-T skipped at j = 0 (closed form divides by j - m)"
 
     sum_U = _expansion_at(j, Direction.U_IN_F, partial(fibonacci_deriv_at_1, q))
-    rhs_U = _u_deriv_at_1(q, j, include_missing_factor=True) / 2**j
-    checks.append(Check("sum-U", sum_U / 2**j, rhs_U))
+    rhs_U = _over(_u_deriv_at_1(q, j, include_missing_factor=True), 1 << j)
+    checks.append(Check("sum-U", _over(sum_U, 1 << j), rhs_U))
     checks.append(Check("sum-U-vs-DqU", sum_U, cheb_deriv_at_1(Basis.CHEBYSHEV_U, q, j)))
 
     oracle = fibonacci_deriv_at_1(q, j + 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -69,8 +70,9 @@ def double_factorial(n: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
 def sqrt_pi_over_gamma(q: int, offset: RationalLike) -> Fraction:
-    """Exact value of sqrt(pi) / Gamma(q + offset) for offset 1/2 or 3/2.
+    """Exact value of sqrt(pi) / Gamma(q + offset) for offset 1/2 or 3/2, built once per (q, offset).
 
     Gamma at half-integers is a double-factorial multiple of sqrt(pi):
 

@@ -141,15 +141,16 @@ def fibonacci_number(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def fibonacci_deriv_at_1(q: int, n: int) -> Fraction:
+def fibonacci_deriv_at_1(q: int, n: int) -> int:
     """q-th derivative of F_n at x = 1, by formal differentiation, once per (q, n).
 
-    The derivative sums of ``identities`` read each value for every degree j
-    of the expansions that contain F_n.
+    F_n has integer coefficients, so the value is the sum of the derivative's
+    integer numerators.  The derivative sums of ``identities`` read each value
+    for every degree j of the expansions that contain F_n.
     """
     if q < 0 or n < 0:
         raise ValueError(f"q and n must be >= 0, got q={q}, n={n}")
-    return fibonacci_poly(n).derivative(q)(Fraction(1))
+    return sum(fibonacci_poly(n).derivative(q).integer_form()[0])  # its denominator is 1
 
 
 def cheb_deriv_at_1(kind: Basis, q: int, n: int) -> Fraction:

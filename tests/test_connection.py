@@ -1,6 +1,7 @@
 """Connection tables vs the triangular-elimination oracle."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from fibcheb import (
     lemma_recurrence_holds,
     oracle_expand,
 )
-from fibcheb import connection
+from fibcheb import connection, sequences
 from fibcheb.connection import Expansion, ExpansionTerm, _coefficient, table_rows, terms
 
 
@@ -88,6 +89,37 @@ class TestClosedFormOnTheLattice:
                 got = _coefficient(j, m, direction)
                 assert type(got) is Fraction
                 assert got == stepwise_coefficient(j, m, direction), (direction, j, m)
+
+
+class TestRowOnOneDenominator:
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_row_is_the_terms_over_their_least_common_denominator(self, direction):
+        for j in range(1 if direction is Direction.T_IN_F else 0, 61):
+            ts = terms(j, direction)
+            indices, nums, den = connection.row(j, direction)
+            assert indices == tuple(t.target_index for t in ts)
+            assert all(type(v) is int for v in (den, *nums))
+            assert [Fraction(n, den) for n in nums] == [t.coefficient for t in ts], (direction, j)
+            assert den == math.lcm(*(t.coefficient.denominator for t in ts))
+            assert math.gcd(den, *nums) == 1
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_reconstruct_equals_the_stepwise_sum(self, direction):
+        for j in range(direction.min_index, 41):
+            expansion = expand(j, direction)
+            stepwise = Polynomial.zero()
+            for t in expansion.terms:
+                stepwise = stepwise + direction.target_basis.member(t.target_index) * t.coefficient
+            assert expansion.reconstruct() == stepwise, (direction, j)
+
+    def test_reconstruct_puts_members_with_denominators_on_one_scale(self, monkeypatch):
+        # T_n / (n + 1) in place of T_n: the members' denominators differ from term to term
+        scaled = {n: chebyshev_t(n) * Fraction(1, n + 1) for n in range(41)}
+        monkeypatch.setattr(sequences, "chebyshev_t", scaled.__getitem__)
+        for j in range(41):
+            expansion = expand(j, Direction.F_IN_T)
+            stepwise = sum((scaled[n] * c for _, n, c in expansion.terms), Polynomial.zero())
+            assert expansion.reconstruct() == stepwise, j
 
 
 class TestDirection:

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -30,11 +31,12 @@ from fibcheb.identities import (
     MINUS_TWO_I,
     _expansion_at,
     _fibonacci_at,
+    _laurent_at,
     _t_deriv_at_1,
     _u_deriv_at_1,
 )
 from fibcheb.scalars import GaussianRational
-from fibcheb.sequences import Basis, cheb_deriv_at_1, fibonacci_poly
+from fibcheb.sequences import Basis, cheb_deriv_at_1, fibonacci_deriv_at_1, fibonacci_poly
 
 big_ints = st.integers(min_value=-(10**30), max_value=10**30)
 fractions = st.fractions(max_denominator=10**9)
@@ -56,6 +58,32 @@ class TestExpansionAt:
         assert got == plain
         gaussian = any(isinstance(values[n], GaussianRational) for _, n, _ in expansion)
         assert type(got) is (GaussianRational if gaussian else Fraction)
+
+
+class TestExpansionAtTheCorollaryValues:
+    # the basis values the corollaries supply, with the type of the sum over them
+    VALUES = {
+        "int F_n": (fibonacci_number, Fraction),
+        "int F_n^(2)(1)": (partial(fibonacci_deriv_at_1, 2), Fraction),
+        "Fraction T_n^(3)(1)": (partial(_t_deriv_at_1, 3), Fraction),
+        "Fraction at a Laurent point": (partial(_laurent_at, x0=Fraction(3, 2)), Fraction),
+        "Gaussian F_n(i/2)": (partial(_fibonacci_at, point=HALF_I), GaussianRational),
+        # the target index steps by 2, so ints and Fractions come in turn
+        "int and Fraction in turn": (
+            lambda n: fibonacci_number(n) if n % 4 < 2 else _laurent_at(n, Fraction(3)),
+            Fraction,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", list(VALUES))
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_equals_the_stepwise_sum(self, direction, kind):
+        value_at, sum_type = self.VALUES[kind]
+        for j in range(1 if direction is Direction.T_IN_F else 0, 41):
+            stepwise = sum((c * value_at(n) for _, n, c in terms(j, direction)), Fraction(0))
+            got = _expansion_at(j, direction, value_at)
+            assert type(got) is sum_type
+            assert got == stepwise, (direction, kind, j)
 
 
 class TestCachedBasisValues:

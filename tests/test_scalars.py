@@ -83,10 +83,16 @@ class TestSqrtPiOverGamma:
                 assert float(sqrt_pi_over_gamma(q, offset)) == pytest.approx(expected)
 
     def test_rejects_other_offsets(self):
-        with pytest.raises(ValueError):
-            sqrt_pi_over_gamma(1, Fraction(5, 2))
-        with pytest.raises(ValueError):
-            sqrt_pi_over_gamma(-1, Fraction(1, 2))
+        for _ in range(2):  # a rejected argument is not cached
+            with pytest.raises(ValueError):
+                sqrt_pi_over_gamma(1, Fraction(5, 2))
+            with pytest.raises(ValueError):
+                sqrt_pi_over_gamma(-1, Fraction(1, 2))
+
+    def test_cached_value_equals_a_fresh_one(self):
+        for q in range(8):
+            for offset in (Fraction(1, 2), Fraction(3, 2), 0.5, 1.5):
+                assert sqrt_pi_over_gamma(q, offset) == sqrt_pi_over_gamma.__wrapped__(q, offset)
 
 
 def test_double_factorial():

@@ -126,6 +126,13 @@ class TestDerivativeValues:
                 assert fibonacci_deriv_at_1(q, n) == formal, (q, n)
         assert fibonacci_deriv_at_1.cache_info().currsize == len(set(pairs))
 
+    def test_fibonacci_value_is_an_int_by_formal_differentiation(self):
+        for q in range(7):
+            for n in range(41):
+                value = fibonacci_deriv_at_1(q, n)
+                assert type(value) is int
+                assert value == fibonacci_poly(n).derivative(q)(Fraction(1)), (q, n)
+
     def test_closed_form_matches_differentiation(self):
         for q in range(1, 7):
             for n in range(61):
