@@ -59,18 +59,6 @@ class Polynomial:
         object.__setattr__(self, "_nums", tuple(nums))
         object.__setattr__(self, "_den", den)
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
-
     def integer_form(self) -> tuple[tuple[int, ...], int]:
         """(nums, den): coefficient i is nums[i] / den, den the least common denominator."""
         return self._nums, self._den
@@ -90,15 +78,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._nums
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coefficient(self.degree)
-
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self._nums):
-            return Fraction(self._nums[power], self._den)
-        return Fraction(0)
 
     # -- ring operations -------------------------------------------------------
 

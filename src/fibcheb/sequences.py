@@ -1,9 +1,8 @@
 """Fibonacci and Chebyshev polynomial families and their special values.
 
-Each family has two independent constructions: the three-term recurrence and
-the explicit binomial power form.  They must generate identical polynomials,
-which the test suite checks for a long range of indices; everything downstream
-may then rely on either construction.
+Each family is built by its three-term recurrence.  The explicit binomial
+power forms, an independent construction, live in ``tests/test_sequences.py``
+as its oracle, which holds the two equal over a long range of indices.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import Polynomial
-from .scalars import binomial
 
 
 class Basis(Enum):
@@ -44,9 +42,9 @@ def c_norm(n: int) -> int:
     return 2 if n == 0 else 1
 
 
-_ZERO = Polynomial.zero()
-_ONE = Polynomial.one()
-_X = Polynomial.x()
+_ZERO = Polynomial()
+_ONE = Polynomial((1,))
+_X = Polynomial((0, 1))
 _TWO_X = Polynomial((0, 2))
 
 _RECURSION_STRIDE = 64
@@ -78,19 +76,6 @@ def fibonacci_poly(n: int) -> Polynomial:
     return _three_term(fibonacci_poly, n, (_ZERO, _ONE), lambda p1, p2: _X * p1 + p2)
 
 
-def fibonacci_poly_power_form(n: int) -> Polynomial:
-    """F_n from the binomial sum over C(n-j-1, j) x^(n-2j-1).
-
-    Independent of the recurrence; used as its construction oracle.
-    """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    coeffs = [Fraction(0)] * max(n, 1)
-    for j in range((n - 1) // 2 + 1):
-        coeffs[n - 2 * j - 1] = Fraction(binomial(n - j - 1, j))
-    return Polynomial(coeffs)
-
-
 @lru_cache(maxsize=None)
 def chebyshev_t(n: int) -> Polynomial:
     """First-kind Chebyshev polynomial via T_n = 2x T_{n-1} - T_{n-2}."""
@@ -101,33 +86,6 @@ def chebyshev_t(n: int) -> Polynomial:
 def chebyshev_u(n: int) -> Polynomial:
     """Second-kind Chebyshev polynomial via U_n = 2x U_{n-1} - U_{n-2}."""
     return _three_term(chebyshev_u, n, (_ONE, _TWO_X), lambda p1, p2: _TWO_X * p1 - p2)
-
-
-def chebyshev_t_power_form(n: int) -> Polynomial:
-    """T_n from its explicit power sum (n >= 1; T_0 = 1 directly)."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    if n == 0:
-        return Polynomial.one()
-    coeffs = [Fraction(0)] * (n + 1)
-    for r in range(n // 2 + 1):
-        coeffs[n - 2 * r] = (
-            Fraction(n, 2)
-            * Fraction((-1) ** r, n - r)
-            * binomial(n - r, r)
-            * Fraction(2) ** (n - 2 * r)
-        )
-    return Polynomial(coeffs)
-
-
-def chebyshev_u_power_form(n: int) -> Polynomial:
-    """U_n from its explicit power sum."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    coeffs = [Fraction(0)] * (n + 1)
-    for r in range(n // 2 + 1):
-        coeffs[n - 2 * r] = Fraction((-1) ** r) * binomial(n - r, r) * Fraction(2) ** (n - 2 * r)
-    return Polynomial(coeffs)
 
 
 def fibonacci_number(n: int) -> int:

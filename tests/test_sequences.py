@@ -11,17 +11,56 @@ from hypothesis import strategies as st
 from fibcheb import (
     Basis,
     Polynomial,
+    binomial,
     c_norm,
     cheb_deriv_at_1,
     chebyshev_t,
-    chebyshev_t_power_form,
     chebyshev_u,
-    chebyshev_u_power_form,
     fibonacci_deriv_at_1,
     fibonacci_number,
     fibonacci_poly,
-    fibonacci_poly_power_form,
 )
+
+
+# The explicit binomial power forms: a construction independent of the
+# recurrences in ``fibcheb.sequences``, and the oracle that audits them.
+
+
+def fibonacci_poly_power_form(n: int) -> Polynomial:
+    """F_n from the binomial sum over C(n-j-1, j) x^(n-2j-1)."""
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    coeffs = [Fraction(0)] * max(n, 1)
+    for j in range((n - 1) // 2 + 1):
+        coeffs[n - 2 * j - 1] = Fraction(binomial(n - j - 1, j))
+    return Polynomial(coeffs)
+
+
+def chebyshev_t_power_form(n: int) -> Polynomial:
+    """T_n from its explicit power sum (n >= 1; T_0 = 1 directly)."""
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    if n == 0:
+        return Polynomial((1,))
+    coeffs = [Fraction(0)] * (n + 1)
+    for r in range(n // 2 + 1):
+        coeffs[n - 2 * r] = (
+            Fraction(n, 2)
+            * Fraction((-1) ** r, n - r)
+            * binomial(n - r, r)
+            * Fraction(2) ** (n - 2 * r)
+        )
+    return Polynomial(coeffs)
+
+
+def chebyshev_u_power_form(n: int) -> Polynomial:
+    """U_n from its explicit power sum."""
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    coeffs = [Fraction(0)] * (n + 1)
+    for r in range(n // 2 + 1):
+        coeffs[n - 2 * r] = Fraction((-1) ** r) * binomial(n - r, r) * Fraction(2) ** (n - 2 * r)
+    return Polynomial(coeffs)
 
 
 class TestFibonacciPolynomials:
@@ -44,7 +83,7 @@ class TestFibonacciPolynomials:
         for n in range(1, 40):
             p = fibonacci_poly(n)
             assert p.degree == n - 1
-            assert p.leading_coefficient == 1
+            assert p.coeffs[-1] == 1
 
     def test_parity_structure(self):
         for n in range(1, 80):
