@@ -10,6 +10,7 @@ hypergeometric machinery at all.
 """
 
 from fibcheb import Direction, chebyshev_t, expand, fibonacci_poly, oracle_expand
+from fibcheb.connection import row
 
 print("A Chebyshev polynomial in the Fibonacci basis")
 print("---------------------------------------------")
@@ -39,9 +40,10 @@ print("Independent oracle: leading-term elimination")
 print("--------------------------------------------")
 source = chebyshev_t(6)
 print(f"T_6 = {source}")
-closed_form = expand(6, Direction.T_IN_F).coefficients_by_index()
-eliminated = {i: c for i, c in oracle_expand(source, Direction.T_IN_F.target_basis) if c != 0}
-print("closed-form coefficients:", {i: str(c) for i, c in sorted(closed_form.items())})
-print("elimination coefficients:", {i: str(c) for i, c in sorted(eliminated.items())})
+# both routes give (target indices, numerators, common denominator)
+closed_form = row(6, Direction.T_IN_F)
+eliminated = oracle_expand(source, Direction.T_IN_F.target_basis)
+print("closed-form coefficients:", closed_form)
+print("elimination coefficients:", eliminated)
 assert closed_form == eliminated
 print("the two routes agree term by term")

@@ -30,7 +30,7 @@ _EXPORTS = {
     "polynomials": "Polynomial",
     "report": "Check Report Status Verdict",
     "runner": "RunConfig run_sweep summarize",
-    "scalars": "GaussianRational binomial pochhammer sqrt_pi_over_gamma",
+    "scalars": "GaussianRational binomial sqrt_pi_over_gamma",
     "sequences": "Basis c_norm cheb_deriv_at_1 chebyshev_t chebyshev_u fibonacci_deriv_at_1 fibonacci_number "
     "fibonacci_poly",
 }

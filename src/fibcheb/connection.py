@@ -3,10 +3,11 @@
 Four directions are generated directly from their closed-form coefficient
 sums (kept verbatim, prefactors included, so a transcription slip cannot hide
 behind algebraic simplification), and an independent triangular-elimination
-oracle recovers the same expansion from the polynomials alone.  The two
-routes must agree term by term.  Each row is cached once as ``terms`` and,
-derived from it, as ``row``: integers over one common denominator, which the
-corollary sums and the round trip read as integer dot products.
+oracle recovers the same expansion from the polynomials alone.  Each row is
+cached once as ``terms`` and, derived from it, as ``row``: integers over one
+common denominator, which the corollary sums and the round trip read as
+integer dot products.  The oracle returns the same integer form, so the two
+routes must agree as equal tuples.
 
 Tables take a third route: ``table_rows`` builds each whole row of
 coefficients from the two rows before it by the family relations, in integer
@@ -190,26 +191,25 @@ def table_rows(direction: Direction, jmax: int) -> Iterator[tuple[int, tuple[int
         prev, row = row, step
 
 
-_ZERO = Fraction(0)
-
-
-def oracle_expand(p: Polynomial, basis: Basis) -> list[tuple[int, Fraction]]:
+def oracle_expand(p: Polynomial, basis: Basis) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Expand ``p`` over a triangular family by leading-term elimination.
 
     Each family has exactly one member per degree, so repeatedly subtracting
     the leading-coefficient-scaled element of matching degree yields the
     unique expansion without solving a linear system.  Independent of the
-    closed-form coefficient route.  Returns (index, coefficient) pairs from
-    the top degree down to 0, zero coefficients included.
+    closed-form coefficient route.  Returns ``row``'s form, (indices, nums, D):
+    the nonzero coefficients from the top degree down, nums[i] / D that of
+    member indices[i], D the least common denominator; ((), (), 1) for zero.
 
     The elimination runs in place on one integer vector: the remainder is
     rest / scale with ``rest`` integer, and whenever a leading coefficient
-    does not divide the current top entry, ``rest`` and ``scale`` are both
-    multiplied by the missing factor.
+    does not divide the current top entry, ``rest``, ``scale`` and the
+    numerators found so far are all multiplied by the missing factor.
     """
-    nums, scale = p.integer_form()
-    rest = list(nums)
-    out: list[tuple[int, Fraction]] = []
+    rest, scale = p.integer_form()
+    rest = list(rest)
+    indices: list[int] = []
+    nums: list[int] = []
     for degree in range(p.degree, -1, -1):
         index = degree + basis.shift
         elem, elem_den = basis.member(index).integer_form()
@@ -218,18 +218,21 @@ def oracle_expand(p: Polynomial, basis: Basis) -> list[tuple[int, Fraction]]:
         missing = abs(lead) // math.gcd(top, lead)
         if missing != 1:
             rest = [r * missing for r in rest]
+            nums = [n * missing for n in nums]
             scale *= missing
             top *= missing
         factor = top // lead
-        # the coefficient times elem / elem_den is factor * elem / scale
-        out.append((index, Fraction(factor * elem_den, scale) if factor else _ZERO))
         if factor:
+            # the coefficient times elem / elem_den is factor * elem / scale
+            indices.append(index)
+            nums.append(factor * elem_den)
             for i, e in enumerate(elem):
                 if e:
                     rest[i] -= factor * e
     if any(rest):
         raise AssertionError("triangular elimination left a nonzero remainder")
-    return out
+    g = math.gcd(scale, *nums)
+    return tuple(indices), tuple(n // g for n in nums), scale // g
 
 
 def d_coefficient(j: int, m: int) -> Fraction:

@@ -167,7 +167,7 @@ def _degree(factor: Factor) -> int:
 
 @lru_cache(maxsize=None)
 def _expansion_over(factor: Factor, weight: Weight) -> tuple[dict[int, int], int]:
-    """(nums, den): ``factor`` over T (first kind) or U (second kind), by elimination.
+    """(nums, den): ``factor`` over T (first kind) or U (second kind), the elimination oracle's row keyed by index.
 
     The nonzero coefficients are nums[n] / den, with den their least common
     denominator: a power of two for every family member, since x^n is
@@ -175,14 +175,8 @@ def _expansion_over(factor: Factor, weight: Weight) -> tuple[dict[int, int], int
     """
     basis, index = factor
     target = Basis.CHEBYSHEV_T if weight is Weight.FIRST_KIND else Basis.CHEBYSHEV_U
-    pairs = oracle_expand(basis.member(index), target)
-    den = math.lcm(*(c.denominator for _, c in pairs))
-    nums = {}
-    while pairs:  # each Fraction is dropped as its numerator is made, which keeps the peak down
-        n, c = pairs.pop()
-        if c:
-            nums[n] = c.numerator * (den // c.denominator)
-    return nums, den
+    indices, nums, den = oracle_expand(basis.member(index), target)
+    return dict(zip(indices, nums)), den
 
 
 def weighted_integral_by_expansion(factors: tuple[Factor, Factor], weight: Weight) -> PiMultiple:

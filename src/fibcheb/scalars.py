@@ -33,16 +33,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def pochhammer(a: RationalLike, k: int) -> Fraction:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1."""
-    if k < 0:
-        raise ValueError(f"pochhammer requires k >= 0, got k={k}")
-    a = Fraction(a)
-    # (p/q)_k = prod (p + i q) / q^k, over integers and reduced once
-    p, q = a.numerator, a.denominator
-    return Fraction(math.prod(p + i * q for i in range(k)), q**k)
-
-
 def dyadic_ratio(num: int, den: int, e: int) -> Fraction:
     """num / den * 2^e as one reduced Fraction: the power of two is a shift, and one gcd reduces it."""
     return Fraction(num << e, den) if e >= 0 else Fraction(num, den << -e)

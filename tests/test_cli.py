@@ -701,7 +701,7 @@ def test_readme_library_tour_reprs():
     namespace = {}
     exec(block, namespace)
     pairs = re.findall(r"^([^#\s].*)\n# (.+?)(?: {2,}|$)", block, re.M)
-    assert len(pairs) == 3
+    assert len(pairs) == 4
     for expression, comment in pairs:
         assert repr(eval(expression, namespace)) == comment, expression
 

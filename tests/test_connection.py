@@ -23,7 +23,7 @@ from fibcheb import (
     lemma_recurrence_holds,
     oracle_expand,
 )
-from fibcheb import connection, sequences
+from fibcheb import connection, hypergeometric, integrals, runner, sequences
 from fibcheb.connection import Expansion, ExpansionTerm, _coefficient, table_rows, terms
 
 
@@ -248,31 +248,60 @@ class TestTableTerms:
                 assert total == source << e, (direction, j, x)
         assert last == jmax
 
+    def test_no_coefficient_is_zero_up_to_the_default_cap(self):
+        # the oracle drops zero coefficients while ``row`` keeps every m, so the
+        # connection suite's oracle-match equality needs every true coefficient nonzero
+        for direction in Direction:
+            for j, row, _ in table_rows(direction, runner.DEFAULT_SAFETY_CAP):
+                assert all(row), (direction, j)
+
 
 class TestOracleExpand:
     def test_monomial_in_first_kind(self):
-        terms = dict(oracle_expand(Polynomial((1, 0, 1)), Basis.CHEBYSHEV_T))
-        assert terms == {2: Fraction(1, 2), 1: 0, 0: Fraction(3, 2)}
+        # 1 + x^2 = T_2 / 2 + 3 T_0 / 2
+        assert oracle_expand(Polynomial((1, 0, 1)), Basis.CHEBYSHEV_T) == ((2, 0), (1, 3), 2)
 
     def test_basis_element_maps_to_itself(self):
-        terms = dict(oracle_expand(chebyshev_t(2), Basis.CHEBYSHEV_T))
-        assert terms == {2: 1, 1: 0, 0: 0}
+        assert oracle_expand(chebyshev_t(2), Basis.CHEBYSHEV_T) == ((2,), (1,), 1)
 
     def test_fibonacci_basis(self):
-        terms = dict(oracle_expand(Polynomial((0, 2, 0, 1)), Basis.FIBONACCI))
-        assert terms == {4: 1, 3: 0, 2: 0, 1: 0}
+        # 2x + x^3 = F_4
+        assert oracle_expand(Polynomial((0, 2, 0, 1)), Basis.FIBONACCI) == ((4,), (1,), 1)
 
     def test_linearity_round_trip(self):
         p = Polynomial((Fraction(1, 3), -2, 0, 5, Fraction(7, 2)))
         for basis in Basis:
+            indices, nums, den = oracle_expand(p, basis)
             total = Polynomial()
-            for index, c in oracle_expand(p, basis):
-                total = total + basis.member(index) * c
+            for index, n in zip(indices, nums):
+                total = total + basis.member(index) * Fraction(n, den)
             assert total == p
 
     @given(rational_polys, st.sampled_from(list(Basis)))
     def test_matches_rebuild_per_step_elimination(self, p, basis):
-        assert oracle_expand(p, basis) == rebuild_elimination(p, basis)
+        indices, nums, den = oracle_expand(p, basis)
+        assert len(indices) == len(nums)
+        nonzero = [(index, c) for index, c in rebuild_elimination(p, basis) if c != 0]
+        assert [(index, Fraction(n, den)) for index, n in zip(indices, nums)] == nonzero
+        # row's canonical form: no zero numerator, D > 0 and the least common denominator
+        assert 0 not in nums and den > 0 and math.gcd(den, *nums) == 1
+
+    def test_independent_of_the_closed_form(self, monkeypatch):
+        # oracles stay independent of the routes they check: with every closed-form
+        # entry point raising, the oracle and the integral route built on it still run
+        def closed_form(*args):
+            raise AssertionError("the elimination oracle read the closed form")
+
+        for name in ("_coefficient", "terms", "row"):
+            monkeypatch.setattr(connection, name, closed_form)
+        monkeypatch.setattr(hypergeometric, "eval_2f1", closed_form)
+        for direction in Direction:
+            for j in range(31):
+                oracle_expand(direction.source_polynomial(j), direction.target_basis)
+        integrals._expansion_over.cache_clear()
+        for j in range(31):
+            for weight in integrals.Weight:
+                integrals._expansion_over((Basis.FIBONACCI, j + 1), weight)
 
     def test_raises_on_a_nonzero_remainder(self, monkeypatch):
         # a family whose index-n slot holds the index-(n-1) member is not
@@ -295,14 +324,7 @@ class TestTheoremsAgainstOracle:
                 expansion = expand(j, direction)
                 source = direction.source_polynomial(j)
                 assert expansion.reconstruct() == source
-                oracle = dict(oracle_expand(source, direction.target_basis))
-                generated = expansion.coefficients_by_index()
-                for idx in set(oracle) | set(generated):
-                    assert oracle.get(idx, Fraction(0)) == generated.get(idx, Fraction(0)), (
-                        direction,
-                        j,
-                        idx,
-                    )
+                assert oracle_expand(source, direction.target_basis) == connection.row(j, direction), (direction, j)
 
     def test_inversion_t_route(self):
         # expanding F in T and every T back in F must reproduce exactly F

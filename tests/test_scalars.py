@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fibcheb import (
     GaussianRational,
     binomial,
-    pochhammer,
     sqrt_pi_over_gamma,
 )
 from fibcheb.scalars import I, double_factorial, dyadic_ratio, lattice_parts, lattice_sum
@@ -37,32 +36,6 @@ class TestBinomial:
         for n in range(1, 61):
             for k in range(1, n + 1):
                 assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(Fraction(7, 3), 0) == 1
-        assert pochhammer(0, 0) == 1
-
-    def test_direct_values(self):
-        assert pochhammer(-3, 2) == 6
-        # (1/2)(3/2)(5/2) = 15/8
-        assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
-
-    def test_recurrence(self):
-        for a in (Fraction(-5), Fraction(1, 3), Fraction(7, 2), Fraction(0)):
-            for k in range(50):
-                assert pochhammer(a, k + 1) == pochhammer(a, k) * (a + k)
-
-    def test_vanishes_past_negative_integer(self):
-        for m in range(8):
-            for k in range(12):
-                value = pochhammer(-m, k)
-                assert (value == 0) == (k > m)
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            pochhammer(1, -1)
 
 
 class TestSqrtPiOverGamma:
