@@ -268,6 +268,29 @@ class TestOracleExpand:
         # 2x + x^3 = F_4
         assert oracle_expand(Polynomial((0, 2, 0, 1)), Basis.FIBONACCI) == ((4,), (1,), 1)
 
+    def test_zero_polynomial(self):
+        for basis in Basis:
+            assert oracle_expand(Polynomial(), basis) == ((), (), 1)
+
+    def test_members_with_a_denominator(self, monkeypatch):
+        # with each member divided by index + 2, coefficient n is multiplied by
+        # n + 2 and the triple is still on its least common denominator
+        p = Polynomial((Fraction(1, 3), -2, 0, 5, Fraction(7, 2)))
+        expected = {}
+        for basis in Basis:
+            indices, nums, den = oracle_expand(p, basis)
+            expected[basis] = [(index, Fraction(n, den) * (index + 2)) for index, n in zip(indices, nums)]
+        member = Basis.member
+
+        def scaled(basis, index):
+            return member(basis, index) * Fraction(1, index + 2)
+
+        monkeypatch.setattr(Basis, "member", scaled)
+        for basis in Basis:
+            indices, nums, den = oracle_expand(p, basis)
+            assert [(index, Fraction(n, den)) for index, n in zip(indices, nums)] == expected[basis]
+            assert 0 not in nums and den > 0 and math.gcd(den, *nums) == 1
+
     def test_linearity_round_trip(self):
         p = Polynomial((Fraction(1, 3), -2, 0, 5, Fraction(7, 2)))
         for basis in Basis:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from fibcheb import (
     Basis,
+    Direction,
     PiMultiple,
     Polynomial,
     Status,
@@ -30,7 +31,7 @@ from fibcheb import (
     weighted_integral_by_expansion,
     weighted_integral_by_moments,
 )
-from fibcheb import binomial, c_norm, hyp2f1, integrals, runner, sequences
+from fibcheb import binomial, c_norm, connection, hyp2f1, integrals, runner, sequences
 from fibcheb.cli import main
 from fibcheb.integrals import QUADRATURE_REL_TOL, _members_at_nodes, quadrature_nodes
 
@@ -161,6 +162,13 @@ class TestExpansionOracleAgreement:
         ]
         for factors, weight, expected in cases:
             assert weighted_integral_by_expansion(factors, weight) == PiMultiple(expected), factors
+
+    def test_fibonacci_expansion_is_the_connection_row(self):
+        # the expansion route's F_{j+1} over T or U is the closed-form F-in-T or F-in-U row
+        for weight, direction in ((Weight.FIRST_KIND, Direction.F_IN_T), (Weight.SECOND_KIND, Direction.F_IN_U)):
+            for j in range(31):
+                indices, nums, den = connection.row(j, direction)
+                assert integrals._expansion_over((F, j + 1), weight) == (dict(zip(indices, nums)), den), (weight, j)
 
     def test_odd_products_vanish(self):
         for factors in (((F, 3), (T, 1)), ((F, 8), (T, 4)), ((F, 4), (U, 0)), ((F, 5), (F, 6))):
