@@ -24,7 +24,7 @@ _EXPORTS = {
     "identities": "verify_2f1_chain verify_complex_identities verify_cor_sum_T verify_cor_sum_U "
     "verify_derivative_corollaries verify_fib_2f1_representations verify_fib_expressions "
     "verify_laurent_identity verify_trig_identity",
-    "integrals": "PiMultiple Weight even_moment integral_fib_cheb_t integral_fib_cheb_u integral_fib_fib "
+    "integrals": "PiMultiple Weight integral_fib_cheb_t integral_fib_cheb_u integral_fib_fib "
     "quadrature_check quadrature_deviation weighted_integral weighted_integral_by_expansion "
     "weighted_integral_by_moments",
     "polynomials": "Polynomial",

@@ -71,9 +71,6 @@ class Expansion(NamedTuple):
     direction: Direction
     terms: tuple[ExpansionTerm, ...]
 
-    def coefficients_by_index(self) -> dict[int, Fraction]:
-        return {t.target_index: t.coefficient for t in self.terms}
-
     def reconstruct(self) -> Polynomial:
         """Sum coefficient * basis element; must equal the source polynomial.
 

@@ -5,6 +5,9 @@ as a PiMultiple so comparisons stay exact.  Two fully independent exact routes
 give the value (closed monomial moments, and each factor's expansion in the
 matching Chebyshev basis followed by orthogonality), and a Gauss-Chebyshev
 quadrature on the factors' own float recurrences is a third, non-exact check.
+The moment route reads one cached integer per even moment, a[n] = 2^(2n+1)
+int x^(2n) w / pi (``_moment``), summed by one Horner pass (``_moment_dot``)
+for a single polynomial (``weighted_integral``) and for a row's vector alike.
 The published closed forms are evaluated alongside and compared against the
 oracle value, which is always the one returned.
 
@@ -98,41 +101,33 @@ class PiMultiple:
 ZERO_PI = PiMultiple(0)
 
 
-def even_moment(n: int, weight: Weight) -> Fraction:
-    """Coefficient of pi in the moment integral of x^(2n) against the weight.
+@lru_cache(maxsize=None)
+def _moment(n: int, weight: Weight) -> int:
+    """a[n] = 2^(2n+1) / pi times the weighted integral of x^(2n); odd moments vanish by symmetry.
 
-    First kind:  C(2n, n) / 4^n        Second kind:  Catalan(n) / 2^(2n+1)
-
-    that is (2n-1)!!/(2n)!! and (2n-1)!!/(2n+2)!!, both with a power-of-two
-    denominator.  Odd moments vanish by symmetry.
+    First kind:  2 C(2n, n)        Second kind:  Catalan(n) = C(2n, n) / (n + 1)
     """
-    if n < 0:
-        raise ValueError(f"moment order must be >= 0, got {n}")
-    if weight is Weight.FIRST_KIND:
-        return Fraction(binomial(2 * n, n), 4**n)
-    return Fraction(binomial(2 * n, n) // (n + 1), 2 * 4**n)
+    central = binomial(2 * n, n)
+    return 2 * central if weight is Weight.FIRST_KIND else central // (n + 1)
+
+
+def _moment_dot(nums: tuple[int, ...], i: int, degree: int, weight: Weight) -> int:
+    """The sum over l, l + i even, of nums[l] a[n] 4^(degree - n), n = (l + i) / 2, a[n] = _moment(n, weight).
+
+    That is 2^(2 degree + 1) / pi times the weighted integral of x^i sum_l nums[l] x^l,
+    an integer for (len(nums) - 1 + i) / 2 <= degree: one Horner pass in powers of 4.
+    """
+    acc, last = 0, (len(nums) - 1 + i) // 2
+    for l in range(i % 2, len(nums), 2):
+        acc = (acc << 2) + nums[l] * _moment((l + i) // 2, weight)
+    return acc << 2 * (degree - last)
 
 
 def weighted_integral(p: Polynomial, weight: Weight) -> PiMultiple:
-    """Exact weighted integral of ``p`` via closed monomial moments.
-
-    Consecutive moments of ``even_moment`` differ by the ratio (2n-1)/(2n)
-    (first kind) or (2n-1)/(2n+2) (second kind), from 1 or 1/2 at n = 0, so
-    the sum over the even coefficients is one backward Horner pass over the
-    integer numerators, reduced once at the end.
-    """
+    """Exact weighted integral of ``p`` via closed monomial moments, reduced once."""
     nums, den = p.integer_form()
-    if not nums:
-        return ZERO_PI
-    first = weight is Weight.FIRST_KIND
-    top = (len(nums) - 1) // 2
-    # acc / scale = sum over i >= n of nums[2i] mu_i / mu_n, from n = top down to 0
-    acc, scale = nums[2 * top], 1
-    for n in range(top, 0, -1):
-        step = 2 * n if first else 2 * n + 2
-        acc = nums[2 * n - 2] * scale * step + (2 * n - 1) * acc
-        scale *= step
-    return PiMultiple(Fraction(acc, scale * den * (1 if first else 2)))
+    degree = max(p.degree, 0)
+    return PiMultiple(Fraction(_moment_dot(nums, 0, degree, weight), den << (2 * degree + 1)))
 
 
 def quadrature_nodes(weight: Weight, count: int) -> list[tuple[float, float]]:
@@ -224,11 +219,12 @@ class _Row:
     """What the pairs of one row factor P (F_{j+1} in a sweep) and one weight share.
 
     With d the degree of P: the moments v[i] = 2^(2d+1) den(P) int P x^i w / pi,
-    integers because each even moment's denominator divides 2^(2d+1), each
-    computed when a pair first needs it; and the Gauss-Chebyshev rule of d + 1
-    nodes, exact for degree <= 2d + 1 and so for P times any factor of degree
-    <= d, with P valued at its nodes once and each second basis by a running
-    recurrence, advanced one step per index and only as far as asked.
+    integers because each even moment's denominator divides 2^(2d+1), each one
+    ``_moment_dot`` over P's numerators when a pair first needs it; and the
+    Gauss-Chebyshev rule of d + 1 nodes, exact for degree <= 2d + 1 and so for
+    P times any factor of degree <= d, with P valued at its nodes once and
+    each second basis by a running recurrence, advanced one step per index and
+    only as far as asked.
     """
 
     def __init__(self, factor: Factor, weight: Weight):
@@ -236,31 +232,16 @@ class _Row:
         self.degree = _degree(factor)
         self.nums, self.den = factor[0].member(factor[1]).integer_form()
         self.moments: dict[int, int] = {}  # i -> v[i]
-        self._numerators: list[int] = []  # n -> 2^(2n+1) even_moment(n)
         self.nodes = quadrature_nodes(weight, max(self.degree, 0) + 1)
         self.xs = [x for x, _ in self.nodes]
         self._values: Optional[tuple[list[float], int]] = None
         self._running: dict[Basis, list] = {}  # basis -> [index, iterator, (values, e)]
 
     def moment(self, i: int) -> int:
-        """v[i]: the sum over l of nums[l] 2^(2d+1) even_moment(n), n = (l + i) / 2, l + i even.
-
-        2^(2d+1) even_moment(n) is a[n] 4^(d-n) with a[n] = 2^(2n+1) even_moment(n)
-        the integer kept (about 2n bits, where the scaled moment has 2d), so
-        the sum is one Horner pass in powers of 4 over the terms nums[l] a[n].
-        """
+        """v[i] = _moment_dot(nums, i, d, weight), computed once."""
         v = self.moments.get(i)
         if v is None:
-            low = i % 2
-            first = (low + i) // 2
-            last = (len(self.nums) - 1 + i) // 2
-            for n in range(len(self._numerators), last + 1):
-                m = even_moment(n, self.weight)
-                self._numerators.append(m.numerator << (2 * n + 2 - m.denominator.bit_length()))
-            acc = 0
-            for c, a in zip(self.nums[low::2], self._numerators[first:last + 1]):
-                acc = (acc << 2) + c * a
-            v = self.moments[i] = acc << 2 * (self.degree - last)
+            v = self.moments[i] = _moment_dot(self.nums, i, self.degree, self.weight)
         return v
 
     def integral(self, factor: Factor) -> PiMultiple:

@@ -188,7 +188,7 @@ class TestExpansions:
         built = Expansion(j=3, direction=Direction.F_IN_T, terms=terms(3, Direction.F_IN_T))
         assert (built.j, built.direction, built.terms) == (3, Direction.F_IN_T, terms(3, Direction.F_IN_T))
         assert Expansion(3, Direction.F_IN_T, terms(3, Direction.F_IN_T)) == built == expansion
-        assert built.coefficients_by_index() == {3: Fraction(1, 4), 1: Fraction(11, 4)}
+        assert {t.target_index: t.coefficient for t in built.terms} == {3: Fraction(1, 4), 1: Fraction(11, 4)}
 
 
 def integer_family(p0, p1, x_factor, sign, count):

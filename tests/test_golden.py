@@ -59,7 +59,10 @@ GOLDEN = {
 
 # Digests of outputs that take a second or more each, too slow for the tier-1
 # suite; the CI workflow checks them (.github/workflows/tests.yml).
-CI_ONLY = [f"table_{direction}_j900.csv.sha256" for direction in ("f-in-t", "f-in-u")]
+CI_ONLY = [
+    *(f"table_{direction}_j900.csv.sha256" for direction in ("f-in-t", "f-in-u")),
+    "verify_integrals_j120.json.sha256",
+]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -21,7 +21,6 @@ from fibcheb import (
     Weight,
     chebyshev_t,
     chebyshev_u,
-    even_moment,
     integral_fib_cheb_t,
     integral_fib_cheb_u,
     integral_fib_fib,
@@ -34,6 +33,7 @@ from fibcheb import (
 from fibcheb import binomial, c_norm, connection, hyp2f1, integrals, runner, sequences
 from fibcheb.cli import main
 from fibcheb.integrals import QUADRATURE_REL_TOL, _members_at_nodes, quadrature_nodes
+from fibcheb.scalars import double_factorial
 
 rational_polys = st.lists(
     st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12), max_size=25
@@ -68,6 +68,13 @@ def reference_quadrature(p, weight, count):
         return float(acc)
 
     return math.fsum(w * value(x) for x, w in nodes)
+
+
+def even_moment(n, weight):
+    """Reference: the coefficient of pi in the weighted integral of x^(2n),
+    (2n-1)!!/(2n)!! (first kind) or (2n-1)!!/(2n+2)!! (second kind)."""
+    top = 2 * n if weight is Weight.FIRST_KIND else 2 * n + 2
+    return Fraction(double_factorial(2 * n - 1), double_factorial(top))
 
 
 def moment_sum(p, weight):
@@ -127,6 +134,12 @@ class TestMomentOracle:
         assert even_moment(1, Weight.FIRST_KIND) == Fraction(1, 2)
         assert even_moment(0, Weight.SECOND_KIND) == Fraction(1, 2)
         assert even_moment(2, Weight.SECOND_KIND) == Fraction(1, 16)
+
+    def test_every_even_moment_up_to_300(self):
+        for weight in Weight:
+            for n in range(301):
+                p = Polynomial((0,) * (2 * n) + (1,))
+                assert weighted_integral(p, weight) == PiMultiple(even_moment(n, weight)), (n, weight)
 
 
 def product(factors):
