@@ -29,8 +29,8 @@ moments = weighted_integral(fibonacci_poly(7) * chebyshev_t(4), Weight.FIRST_KIN
 expansion = weighted_integral_by_expansion(factors, Weight.FIRST_KIND)
 quadrature = quadrature_check(factors, Weight.FIRST_KIND)
 print("integrand F_7 * T_4, first-kind weight")
-print(f"  monomial moments:    {moments.to_text()}")
-print(f"  basis expansion:     {expansion.to_text()}")
+print(f"  monomial moments:    {moments}")
+print(f"  basis expansion:     {expansion}")
 print(f"  quadrature (float):  {quadrature!r}  (exact = {float(moments)!r})")
 assert moments == expansion
 print()
@@ -39,16 +39,16 @@ print("Auditing the published closed forms")
 print("-----------------------------------")
 for j, k in ((2, 2), (2, 0), (6, 4)):
     value, report = integral_fib_cheb_t(j, k)
-    print(f"F_{j + 1} * T_{k} / sqrt(1-x^2): oracle {value.to_text()} -> {report.status.value}")
+    print(f"F_{j + 1} * T_{k} / sqrt(1-x^2): oracle {value} -> {report.status.value}")
 value, report = integral_fib_cheb_u(2, 0)
-print(f"sqrt(1-x^2) * F_3 * U_0:        oracle {value.to_text()} -> {report.status.value}")
+print(f"sqrt(1-x^2) * F_3 * U_0:        oracle {value} -> {report.status.value}")
 print()
 
 print("Products of two Fibonacci polynomials")
 print("-------------------------------------")
 value, report = integral_fib_fib(2, 2, Weight.SECOND_KIND)
-print(f"sqrt(1-x^2) * F_3^2:   {value.to_text()} ({report.status.value})")
+print(f"sqrt(1-x^2) * F_3^2:   {value} ({report.status.value})")
 value, report = integral_fib_fib(3, 1, Weight.SECOND_KIND)
-print(f"sqrt(1-x^2) * F_4 F_2: {value.to_text()} ({report.status.value}: {report.note.split(';')[0]})")
+print(f"sqrt(1-x^2) * F_4 F_2: {value} ({report.status.value}: {report.note.split(';')[0]})")
 value, report = integral_fib_fib(1, 1, Weight.FIRST_KIND)
-print(f"F_2^2 / sqrt(1-x^2):   {value.to_text()} ({report.status.value}: {report.note.split(';')[0]})")
+print(f"F_2^2 / sqrt(1-x^2):   {value} ({report.status.value}: {report.note.split(';')[0]})")

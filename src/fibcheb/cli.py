@@ -146,8 +146,8 @@ def _cmd_integrate(args) -> int:
     _, evaluate = integrals.KINDS[args.kind]
     value, report = evaluate(args.j, args.k)
     printed = integrals.audited_printed_value(value, report)
-    print(f"oracle: {value.to_text()}")
-    print(f"printed: {'unevaluable' if printed is None else printed.to_text()}")
+    print(f"oracle: {value}")
+    print(f"printed: {'unevaluable' if printed is None else printed}")
     print(f"status: {report.status.value}")
     if report.note:
         print(f"note: {report.note}")

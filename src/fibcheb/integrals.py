@@ -88,7 +88,7 @@ class PiMultiple:
     def __float__(self) -> float:
         return float(self.coefficient) * math.pi
 
-    def to_text(self) -> str:
+    def __str__(self):
         return f"{self.coefficient} * pi"
 
     def __repr__(self):
@@ -411,7 +411,7 @@ def integral_fib_cheb_t(j: int, k: int) -> tuple[PiMultiple, Report]:
     printed = printed_fib_cheb_t(j, k)
     corrected = printed * c_norm(k)
     if printed != value:
-        note = f"printed {printed.to_text()} vs oracle {value.to_text()}; {note}"
+        note = f"printed {printed} vs oracle {value}; {note}"
     report = make_report(
         "int-FT",
         {"j": j, "k": k},

@@ -194,21 +194,9 @@ class Polynomial:
         return self._nums == other._nums and self._den == other._den
 
     def __hash__(self):
+        if len(self._nums) <= 1:  # a constant equals its scalar, so it hashes like it
+            return hash(Fraction(self._nums[0] if self._nums else 0, self._den))
         return hash((self._nums, self._den))
-
-    def to_text(self) -> str:
-        """Full ascending form "c0 + c1*x + c2*x^2 + ...", zero terms included."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{i}")
-        return " + ".join(parts)
 
     def __str__(self):
         # Compact human form: skip zero terms, highest power first.

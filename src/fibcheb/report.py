@@ -73,11 +73,11 @@ class Report(NamedTuple):
 
     def text_line(self) -> str:
         """The report's line in the text report, with its residuals and error if it has them."""
-        params = ",".join(f"{k}={_display(v)}" for k, v in sorted(self.params))
+        params = ",".join(f"{k}={v}" for k, v in sorted(self.params))
         detail = ""
         if self.printed_residual is not None:
-            corrected = "-" if self.corrected_residual is None else _display(self.corrected_residual)
-            detail = f" printed_residual={_display(self.printed_residual)} corrected_residual={corrected}"
+            corrected = "-" if self.corrected_residual is None else self.corrected_residual
+            detail = f" printed_residual={self.printed_residual} corrected_residual={corrected}"
         if self.error:
             detail += f" error={self.error}"
         return f"{self.identity}({params}): {self.status.value}{detail}"
@@ -85,39 +85,34 @@ class Report(NamedTuple):
     def to_dict(self) -> dict:
         out = {
             "identity": self.identity,
-            "params": {k: _display(v) for k, v in self.params},
+            "params": {k: str(v) for k, v in self.params},
             "status": self.status.value,
         }
         if self.lhs is not None:
-            out["lhs"] = _display(self.lhs)
+            out["lhs"] = str(self.lhs)
         if self.rhs is not None:
-            out["rhs"] = _display(self.rhs)
+            out["rhs"] = str(self.rhs)
         if self.residual is not None:
-            out["residual"] = _display(self.residual)
+            out["residual"] = str(self.residual)
         if self.checks:
             out["checks"] = [
                 {
                     "name": c.name,
-                    "lhs": _display(c.lhs),
-                    "rhs": _display(c.rhs),
-                    "residual": _display(c.residual),
+                    "lhs": str(c.lhs),
+                    "rhs": str(c.rhs),
+                    "residual": str(c.residual),
                 }
                 for c in self.checks
             ]
         if self.printed_residual is not None:
-            out["printed_residual"] = _display(self.printed_residual)
+            out["printed_residual"] = str(self.printed_residual)
         if self.corrected_residual is not None:
-            out["corrected_residual"] = _display(self.corrected_residual)
+            out["corrected_residual"] = str(self.corrected_residual)
         if self.note:
             out["note"] = self.note
         if self.error:
             out["error"] = self.error
         return out
-
-
-def _display(value) -> str:
-    """Deterministic string form for report values of any scalar kind (a float by its repr)."""
-    return value.to_text() if hasattr(value, "to_text") else str(value)
 
 
 def make_report(

@@ -196,15 +196,12 @@ class GaussianRational:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    def to_text(self) -> str:
+    def __str__(self):
         """Serialize as "p/q+r/s*i" (real form "p/q" when the imaginary part is 0)."""
         if self.im == 0:
             return str(self.re)
         sign = "+" if self.im >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
-
-    def __str__(self):
-        return self.to_text()
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"

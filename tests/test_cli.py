@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fibcheb import Direction, runner
+from fibcheb import Direction, GaussianRational, PiMultiple, runner
 from fibcheb.cli import dyadic_text, main
 from fibcheb.report import Check, Report, Status
 
@@ -475,6 +475,26 @@ class TestVerify:
         report = Report("cor5.2", (("j", 3), ("q", Fraction(1, 2))), Status.FAIL, printed_residual=Fraction(-5, 2))
         assert report.text_line() == "cor5.2(j=3,q=1/2): Fail printed_residual=-5/2 corrected_residual=-"
 
+    def test_a_failing_round_trip_prints_its_polynomials_by_str(self, monkeypatch):
+        reconstruct = runner.connection.Expansion.reconstruct
+        monkeypatch.setattr(runner.connection.Expansion, "reconstruct", lambda expansion: reconstruct(expansion) + 1)
+        report = runner.execute_task(("connection", 2, "t-in-f"))
+        assert report.status is Status.FAIL
+        first = {"name": "round-trip", "lhs": "2*x^2", "rhs": "2*x^2 - 1", "residual": "1"}
+        assert report.to_dict()["checks"][0] == first
+
+    @pytest.mark.parametrize("value", [PiMultiple(Fraction(3, 2)), GaussianRational(Fraction(1, 2), -3), 1.5e-17])
+    def test_a_record_prints_each_value_by_str(self, value):
+        report = Report(
+            "x", (("v", value),), Status.FAIL, lhs=value, rhs=value, printed_residual=value, corrected_residual=value
+        )
+        text = str(value)
+        record = json.loads(runner._json_text(report.to_dict(), "    "))
+        assert record["params"]["v"] == record["lhs"] == record["rhs"] == text
+        assert record["printed_residual"] == record["corrected_residual"] == text
+        assert record["residual"] == str(value - value)
+        assert report.text_line() == f"x(v={text}): Fail printed_residual={text} corrected_residual={text}"
+
     def test_raising_task_verdict_carries_the_error(self, monkeypatch):
         def chain_raising(j):
             raise ZeroDivisionError("injected")
@@ -701,7 +721,7 @@ def test_readme_library_tour_reprs():
     namespace = {}
     exec(block, namespace)
     pairs = re.findall(r"^([^#\s].*)\n# (.+?)(?: {2,}|$)", block, re.M)
-    assert len(pairs) == 4
+    assert len(pairs) == 5
     for expression, comment in pairs:
         assert repr(eval(expression, namespace)) == comment, expression
 

@@ -222,7 +222,7 @@ class TestComplexIdentities:
         assert report.status is Status.PASS
         report = verify_complex_identities(1)
         eq2 = next(c for c in report.checks if c.name == "eq-complex-2")
-        assert eq2.lhs.to_text() == "0-4*i"
+        assert str(eq2.lhs) == "0-4*i"
 
     def test_base_case(self):
         assert verify_complex_identities(0).status is Status.PASS

@@ -98,7 +98,7 @@ class TestPiMultiple:
 
     def test_float_and_text(self):
         assert float(PiMultiple(Fraction(3, 2))) == pytest.approx(3 * math.pi / 2)
-        assert PiMultiple(Fraction(3, 2)).to_text() == "3/2 * pi"
+        assert str(PiMultiple(Fraction(3, 2))) == "3/2 * pi"
 
     def test_an_immutable_value(self):
         value = PiMultiple(Fraction(3, 2))
@@ -108,7 +108,7 @@ class TestPiMultiple:
             del value.coefficient
         for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
             assert copied == value and type(copied) is PiMultiple
-            assert copied.to_text() == "3/2 * pi"
+            assert str(copied) == "3/2 * pi"
         # keyword construction, an int coefficient held as a Fraction
         built = PiMultiple(coefficient=3)
         assert type(built.coefficient) is Fraction and built == PiMultiple(Fraction(3))

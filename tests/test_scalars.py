@@ -120,9 +120,9 @@ class TestGaussianRational:
             GaussianRational(1, 1) / GaussianRational(0, 0)
 
     def test_serialization(self):
-        assert GaussianRational(Fraction(1, 2), Fraction(3, 4)).to_text() == "1/2+3/4*i"
-        assert GaussianRational(-2, Fraction(-3, 4)).to_text() == "-2-3/4*i"
-        assert GaussianRational(Fraction(5, 3), 0).to_text() == "5/3"
+        assert str(GaussianRational(Fraction(1, 2), Fraction(3, 4))) == "1/2+3/4*i"
+        assert str(GaussianRational(-2, Fraction(-3, 4))) == "-2-3/4*i"
+        assert str(GaussianRational(Fraction(5, 3), 0)) == "5/3"
 
     def test_immutable(self):
         z = GaussianRational(1, 1)
