@@ -80,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     integrate.add_argument("--kind", required=True, choices=list(integrals.KINDS))
     integrate.add_argument("--j", type=int, required=True)
     integrate.add_argument("--k", type=int, required=True)
+    integrate.add_argument("--cap", type=int, default=runner.INTEGRATE_SAFETY_CAP)
 
     evaluate = sub.add_parser(
         "eval",
@@ -143,6 +144,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    runner.check_limits(args.cap, j=args.j)
     _, evaluate = integrals.KINDS[args.kind]
     value, report = evaluate(args.j, args.k)
     printed = integrals.audited_printed_value(value, report)

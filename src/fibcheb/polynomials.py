@@ -190,6 +190,8 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
+            if isinstance(other, GaussianRational):  # a real one equals its real part
+                return other.im == 0 and self == other.re
             return NotImplemented
         return self._nums == other._nums and self._den == other._den
 

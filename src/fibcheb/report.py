@@ -6,12 +6,23 @@ known to disagree with its parent result, the verifier computes the verbatim
 form *and* the theorem-consistent correction; the report then carries both
 residuals and is classified PaperErratum (printed form fails, corrected form
 exact) rather than Pass or Fail.  Printed formulas are never silently fixed.
+
+A report prints each value by ``str()``, in two forms: ``text_line``, its
+line in the text report, and ``json_record``, its record in a JSON report,
+written straight from the fields.  ``to_dict`` is the reference dict form of
+that record: ``json_record`` is the text ``json.dumps(indent=2,
+sort_keys=True)`` gives for it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from typing import NamedTuple
+
+try:  # the C escaper that json.encoder uses, without loading the json package
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 
 class Status(str, Enum):
@@ -83,6 +94,7 @@ class Report(NamedTuple):
         return f"{self.identity}({params}): {self.status.value}{detail}"
 
     def to_dict(self) -> dict:
+        """The record as a dict of strings: the reference form that ``json_record`` writes."""
         out = {
             "identity": self.identity,
             "params": {k: str(v) for k, v in self.params},
@@ -113,6 +125,59 @@ class Report(NamedTuple):
         if self.error:
             out["error"] = self.error
         return out
+
+    def json_record(self) -> str:
+        """The record in a JSON sweep: ``runner._json_text(self.to_dict(), "    ")``,
+        the text of ``json.dumps(indent=2, sort_keys=True)`` at the sweep's
+        4-space indent, written straight from the fields.
+
+        Each value is printed, and each residual taken, once: a head whose lhs
+        and rhs are one check's objects (``make_report``'s) reuses its strings.
+        """
+        q = encode_basestring_ascii
+        head = None
+        fields = []  # '"key": value', in sorted key order
+        if self.checks:
+            items = []
+            for c in self.checks:
+                lhs, rhs, residual = texts = q(str(c.lhs)), q(str(c.rhs)), q(str(c.residual))
+                if head is None and c.lhs is self.lhs and c.rhs is self.rhs:
+                    head = texts
+                items.append(
+                    f'{{\n          "lhs": {lhs},\n          "name": {q(c.name)},'
+                    f'\n          "residual": {residual},\n          "rhs": {rhs}\n        }}'
+                )
+            fields.append('"checks": [\n        ' + ",\n        ".join(items) + "\n      ]")
+        if head is None:
+            head = (
+                None if self.lhs is None else q(str(self.lhs)),
+                None if self.rhs is None else q(str(self.rhs)),
+                None if self.lhs is None else q(str(self.residual)),
+            )
+        lhs, rhs, residual = head
+        if self.corrected_residual is not None:
+            fields.append(f'"corrected_residual": {q(str(self.corrected_residual))}')
+        if self.error:
+            fields.append(f'"error": {q(self.error)}')
+        fields.append(f'"identity": {q(self.identity)}')
+        if self.lhs is not None:
+            fields.append(f'"lhs": {lhs}')
+        if self.note:
+            fields.append(f'"note": {q(self.note)}')
+        params = {k: str(v) for k, v in self.params}
+        if params:
+            pairs = ",\n        ".join(f"{q(k)}: {q(v)}" for k, v in sorted(params.items()))
+            fields.append(f'"params": {{\n        {pairs}\n      }}')
+        else:
+            fields.append('"params": {}')
+        if self.printed_residual is not None:
+            fields.append(f'"printed_residual": {q(str(self.printed_residual))}')
+        if self.lhs is not None:
+            fields.append(f'"residual": {residual}')
+        if self.rhs is not None:
+            fields.append(f'"rhs": {rhs}')
+        fields.append(f'"status": {q(self.status.value)}')
+        return "{\n      " + ",\n      ".join(fields) + "\n    }"
 
 
 def make_report(

@@ -3,17 +3,19 @@
 Tasks are pure and independent, so they may be settled in several processes.
 Every task is settled where it runs, in the calling process or in a child,
 into a ``Verdict``: the report's identity, status and record, as the output
-format prints it.  A sweep on n workers splits its tasks into n shares: share
-w holds the tasks whose degree (a task's first argument, j or n) is w mod n.
-The calling process settles share 0 itself while n - 1 children settle the
-rest, one share each, and each child sends its verdicts back over its own
-one-way pipe.  The children are ``multiprocessing`` processes started by fork,
-or by spawn where the platform has no fork.  The caches under the verifiers
-are keyed by degree, so no two processes fill the same entries.  The verdicts
-are put back in the order of the tasks (suites in ``SUITES`` order, each grid
-in its own numeric order), so the emitted report is byte-identical regardless
-of worker count.  The parent keeps status counts and record strings alone,
-and writes the JSON report one record at a time.
+format prints it (``Report.json_record`` writes a JSON record straight from
+the report, and ``Report.text_line`` a line of the text report).  A sweep on
+n workers splits its tasks into n shares: share w holds the tasks whose
+degree (a task's first argument, j or n) is w mod n.  The calling process
+settles share 0 itself while n - 1 children settle the rest, one share each,
+and each child sends its verdicts back over its own one-way pipe.  The
+children are ``multiprocessing`` processes started by fork, or by spawn where
+the platform has no fork.  The caches under the verifiers are keyed by
+degree, so no two processes fill the same entries.  The verdicts are put back
+in the order of the tasks (suites in ``SUITES`` order, each grid in its own
+numeric order), so the emitted report is byte-identical regardless of worker
+count.  The parent keeps status counts and record strings alone, and writes
+the JSON report one record at a time.
 """
 
 from __future__ import annotations
@@ -23,16 +25,16 @@ import os
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-try:  # the C escaper that json.encoder uses, without loading the json package
-    from _json import encode_basestring_ascii
-except ImportError:
-    from json.encoder import encode_basestring_ascii
-
 from . import connection, identities, integrals
-from .report import Check, Report, Status, Verdict, make_report
+from .report import Check, Report, Status, Verdict, encode_basestring_ascii, make_report
 from .sequences import Basis
 
 DEFAULT_SAFETY_CAP = 500
+# integrate's default cap on --j.  One integral holds every lower member of its
+# two families, so its memory grows as j^3: integrate --kind ft --k 0 peaked at
+# 72, 180 and 373 MB of resident memory at j = 1000, 1500 and 2000 (Python
+# 3.11.7, 2-CPU x86-64 host), which puts j = 2500 near 730 MB, extrapolated.
+INTEGRATE_SAFETY_CAP = 2500
 TRIG_ABS_TOL = 1e-9
 TRIG_SAMPLE_COUNT = 16
 
@@ -200,7 +202,7 @@ def settle_all(tasks: list[Task], output_format: str) -> list[Verdict]:
         if report.status is Status.PASS:
             record = None
         elif output_format == "json":
-            record = _json_text(report.to_dict(), "    ")
+            record = report.json_record()
         else:  # the text report prints no line for an Unevaluable record
             record = None if report.status is Status.UNEVALUABLE else report.text_line()
         verdicts.append(Verdict(report.identity, report.status.value, record))
@@ -309,7 +311,8 @@ def summarize(config: RunConfig, verdicts: list[Verdict]) -> dict:
 
 def _json_text(value, indent: str) -> str:
     """``value``, a str, int, dict or list, as ``json.dumps(indent=2, sort_keys=True)``
-    writes it at the nesting level whose lines start with ``indent``."""
+    writes it at the nesting level whose lines start with ``indent``: the
+    summary's head, and the reference that ``Report.json_record`` matches."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, dict):
@@ -334,7 +337,8 @@ def _json_text(value, indent: str) -> str:
 def json_pieces(summary: dict) -> Iterator[str]:
     """``json.dumps(summary, indent=2, sort_keys=True) + "\\n"`` in pieces: the
     head, then one item at a time of each nonempty top-level list (a record,
-    already its ``_json_text`` at the 4-space indent), then the tail.
+    already its text at the 4-space indent, as ``Report.json_record`` writes
+    it), then the tail.
 
     The JSON encoder runs in pure Python whenever it indents; this writes the
     same text with the C string escaper, and never holds the whole report.

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fibcheb import Direction, GaussianRational, PiMultiple, runner
+from fibcheb import Direction, GaussianRational, PiMultiple, Polynomial, integrals, runner
 from fibcheb.cli import dyadic_text, main
 from fibcheb.report import Check, Report, Status
 
@@ -257,6 +257,21 @@ class TestIntegrate:
     def test_k_above_j_rejected(self, capsys):
         rejected = (2, "", "error: requires j >= k >= 0, got j=1, k=2\n")
         assert run_cli(capsys, "integrate", "--kind", "ft", "--j", "1", "--k", "2") == rejected
+
+    def test_huge_j_exits_at_once(self, capsys, monkeypatch):
+        def no_integral(j, k):
+            raise AssertionError("an integral evaluated past the cap")
+
+        monkeypatch.setitem(integrals.KINDS, "ft", ("int-FT", no_integral))
+        code, out, err = run_cli(capsys, "integrate", "--kind", "ft", "--j", "99999999999999999999", "--k", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: j 99999999999999999999 exceeds safety cap {runner.INTEGRATE_SAFETY_CAP}\n"
+
+    def test_cap_override(self, capsys):
+        assert run_cli(capsys, "integrate", "--kind", "ft", "--j", "3", "--k", "0", "--cap", "2") == (
+            2, "", "error: j 3 exceeds safety cap 2\n"
+        )
+        assert run_cli(capsys, "integrate", "--kind", "ft", "--j", "3", "--k", "0", "--cap", "3")[0] == 0
 
 
 class TestVerify:
@@ -506,6 +521,28 @@ class TestVerify:
         assert as_json == ("cor5.1-chain", "Fail", runner._json_text(report.to_dict(), "    "))
         assert json.loads(as_json.record)["error"] == "ZeroDivisionError: injected"
         assert as_text == ("cor5.1-chain", "Fail", "cor5.1-chain(j=3): Fail error=ZeroDivisionError: injected")
+
+    def test_json_record_is_the_dict_written_for_every_report_of_a_sweep(self, monkeypatch):
+        reports = [runner.execute_task(task) for task in runner.build_tasks(runner.RunConfig(jmax=12, qmax=5))]
+        # a report whose lhs comes from no check: the float trig form
+        trig = next(report for report in reports if report.identity == "trig")
+        assert trig.lhs is not None and not trig.checks
+        # a raising task's report, which has an error and no lhs
+        monkeypatch.setitem(runner.FAMILIES, "cor5.1-chain", lambda j: 1 / 0)
+        raising = runner.execute_task(("cor5.1-chain", 3))
+        assert raising.error == "ZeroDivisionError: division by zero"
+        written = [report for report in reports if report.status is not Status.PASS] + [trig, raising]
+        assert {report.status for report in written} == set(Status)
+        for report in written:
+            assert report.json_record() == runner._json_text(report.to_dict(), "    ")
+
+    def test_a_json_sweep_builds_no_record_dict(self, monkeypatch):
+        def no_dict(report):
+            raise AssertionError("a JSON sweep built a record dict")
+
+        monkeypatch.setattr(Report, "to_dict", no_dict)
+        verdicts = runner.run_sweep(runner.RunConfig(suite="integrals", jmax=6), "json")
+        assert {v.status for v in verdicts if v.record is not None} == {"PaperErratum", "Unevaluable"}
 
     @pytest.mark.parametrize(
         "workers, cpus, expected",
@@ -774,6 +811,59 @@ def test_json_writer_matches_json_dumps(summary):
         for key, value in summary.items()
     }
     assert runner.render_json(pieces) == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+def same_type_pairs(values):
+    return st.tuples(values, values)
+
+
+# Pairs of values of one type, so that lhs - rhs is defined, as in every report.
+RECORD_PAIRS = st.one_of(
+    same_type_pairs(st.integers()),
+    same_type_pairs(st.fractions()),
+    same_type_pairs(st.fractions().map(PiMultiple)),
+    same_type_pairs(st.builds(GaussianRational, st.fractions(), st.fractions())),
+    same_type_pairs(st.floats()),
+    same_type_pairs(st.lists(st.fractions(), max_size=3).map(Polynomial)),
+)
+RECORD_VALUES = RECORD_PAIRS.map(lambda pair: pair[0])
+HEAD_CHECK = Check("c", Fraction(1, 3), Fraction(1, 2))
+
+
+@st.composite
+def reports(draw):
+    checks = draw(st.lists(st.tuples(JSON_TEXT, RECORD_PAIRS).map(lambda c: Check(c[0], *c[1])), max_size=3))
+    # the head is one check's objects, as make_report takes it, or values of its own
+    shapes = ["none", "rhs only", "own"] + (["check", "check's lhs twice"] if checks else [])
+    shape = draw(st.sampled_from(shapes))
+    if shape.startswith("check"):
+        head = draw(st.sampled_from(checks))
+        lhs, rhs = (head.lhs, head.rhs) if shape == "check" else (head.lhs, head.lhs)
+    elif shape == "own":
+        lhs, rhs = draw(RECORD_PAIRS)
+    else:
+        lhs, rhs = None, (draw(RECORD_VALUES) if shape == "rhs only" else None)
+    optional = st.none() | RECORD_VALUES
+    return Report(
+        identity=draw(JSON_TEXT),
+        params=tuple(draw(st.lists(st.tuples(JSON_TEXT, RECORD_VALUES), max_size=3))),
+        status=draw(st.sampled_from(Status)),
+        lhs=lhs,
+        rhs=rhs,
+        checks=tuple(checks),
+        printed_residual=draw(optional),
+        corrected_residual=draw(optional),
+        note=draw(JSON_TEXT),
+        error=draw(JSON_TEXT),
+    )
+
+
+@given(report=reports())
+@example(report=Report("x", (), Status.FAIL))
+@example(report=Report("x", (("b", 1), ("a", 2), ("b", 3)), Status.PASS, rhs=Fraction(1, 2)))
+@example(report=Report("x", (), Status.FAIL, lhs=HEAD_CHECK.lhs, rhs=HEAD_CHECK.lhs, checks=(HEAD_CHECK,)))
+def test_json_record_is_the_dict_written_by_the_json_writer(report):
+    assert report.json_record() == runner._json_text(report.to_dict(), "    ")
 
 
 @pytest.mark.parametrize("value", [1.5, True, None, (1,)])

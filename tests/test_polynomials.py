@@ -149,6 +149,20 @@ class TestCanonicalForm:
         assert p == c and hash(p) == hash(c)
         assert len({p, c}) == 1 and len({c, p}) == 1
 
+    @pytest.mark.parametrize("c", [0, 3, Fraction(1, 2)])
+    def test_equality_with_scalars_is_an_equivalence(self, c):
+        values = [Polynomial((c,)), GaussianRational(c), c, Fraction(c)]
+        for a in values:
+            for b in values:
+                assert a == b and not a != b, (a, b)
+        assert len(set(values)) == 1
+
+    @pytest.mark.parametrize("z", [GaussianRational(0, 1), GaussianRational(3, -1), GaussianRational(Fraction(1, 2), 2)])
+    def test_a_nonreal_gaussian_equals_no_polynomial(self, z):
+        for p in (Polynomial(), Polynomial((z.re,)), Polynomial((z.re, z.im)), Polynomial((0, 1))):
+            assert p != z and z != p
+            assert not p == z and not z == p
+
     def test_zero_is_the_empty_lattice(self):
         assert Polynomial().integer_form() == ((), 1)
         p = Polynomial((Fraction(1, 6), Fraction(-3, 4)))
