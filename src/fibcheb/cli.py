@@ -22,8 +22,26 @@ from .report import Status
 TABLE_FIELDS = ("j", "m", "target", "coefficient")
 
 
+def operand_size(text: str) -> int:
+    """The digits of a rational's text plus the absolute value of its decimal exponent, read without parsing it."""
+    mantissa, e, exponent = text.lower().partition("e")
+    size = sum(map(str.isdigit, mantissa))
+    try:
+        return size + abs(int(exponent)) if e else size
+    except ValueError:  # not an integer exponent (or one past int()'s digit limit): Fraction rejects it too
+        return size
+
+
 def rational(text: str) -> Fraction:
-    """The type of the eval parameters: argparse names the flag and the text it rejects."""
+    """The type of the eval parameters: argparse names the flag and the text it rejects.
+
+    The text is held to ``runner.EVAL_OPERAND_CAP`` by ``operand_size`` before
+    ``Fraction`` parses it, and the message names that bound.
+    """
+    try:
+        runner.check_limits(runner.EVAL_OPERAND_CAP, operand_size=operand_size(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     try:
         return Fraction(text)
     except ZeroDivisionError:  # "1/0" is as invalid as "abc"
@@ -158,7 +176,10 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_eval(args) -> int:
     series = Hyp2F1(args.a, args.b, args.c, args.z)
-    runner.check_limits(args.cap, termination_index=series.termination_index())
+    index = series.termination_index()
+    runner.check_limits(args.cap, termination_index=index)
+    digits = sum(len(str(abs(v.numerator))) + len(str(v.denominator)) for v in (args.a, args.b, args.c, args.z))
+    runner.check_limits(runner.EVAL_DIGITS_CAP, estimated_digits=index * digits)
     print(eval_2f1(series))
     return 0
 

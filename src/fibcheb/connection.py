@@ -4,9 +4,10 @@ Four directions are generated directly from their closed-form coefficient
 sums (kept verbatim, prefactors included, so a transcription slip cannot hide
 behind algebraic simplification), and an independent triangular-elimination
 oracle recovers the same expansion from the polynomials alone.  Each row is
-cached once as ``terms`` and, derived from it, as ``row``: integers over one
-common denominator, which the corollary sums and the round trip read as
-integer dot products.  The oracle returns the same integer form, so the two
+cached once, as ``row``: the verbatim coefficients as integers over their
+least common denominator, which the corollary sums and the round trip
+(``reconstruct``) read as integer dot products.  ``terms`` is an uncached view
+of it as ``Fraction``s.  The oracle returns the same integer form, so the two
 routes must agree as equal tuples.
 
 Tables take a third route: ``table_rows`` builds each whole row of
@@ -72,21 +73,8 @@ class Expansion(NamedTuple):
     terms: tuple[ExpansionTerm, ...]
 
     def reconstruct(self) -> Polynomial:
-        """Sum coefficient * basis element; must equal the source polynomial.
-
-        One integer vector over the expansion's ``row``: nums[m] times each target member's integer
-        numerators, over D times the lcm of the members' denominators, reduced once.
-        """
-        indices, nums, den = row(self.j, self.direction)
-        members = [self.direction.target_basis.member(index).integer_form() for index in indices]
-        scale = math.lcm(*(d for _, d in members))  # 1: the family members are integer polynomials
-        out = [0] * max(len(elem) for elem, _ in members)
-        for c, (elem, d) in zip(nums, members):
-            c *= scale // d
-            for i, e in enumerate(elem):
-                if e:
-                    out[i] += c * e
-        return Polynomial._from_lattice(out, den * scale)
+        """Sum coefficient * basis element; must equal the source polynomial (``reconstruct``)."""
+        return reconstruct(self.j, self.direction)
 
 
 def _coefficient(j: int, m: int, direction: Direction) -> Fraction:
@@ -117,40 +105,63 @@ def _coefficient(j: int, m: int, direction: Direction) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def terms(j: int, direction: Direction) -> tuple[ExpansionTerm, ...]:
-    """The terms (m, target index, coefficient) of the degree-j expansion, m = 0 .. floor(j/2).
-
-    The coefficient is evaluated verbatim from the closed-form sum for the
-    chosen direction; the target index is j-2m plus the target family's shift.
-    This cached tuple is the one record of each expansion; ``expand`` wraps
-    it, and the corollaries evaluate the same sums at supplied basis values,
-    some at j = 0, below ``direction.min_index``.
-    """
-    shift = direction.target_basis.shift
-    return tuple(
-        ExpansionTerm(m, j - 2 * m + shift, _coefficient(j, m, direction))
-        for m in range(j // 2 + 1)
-    )
-
-
-@lru_cache(maxsize=None)
 def row(j: int, direction: Direction) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """``terms(j, direction)`` on one denominator, (target indices, nums, D) with c(j, m) = nums[m] / D.
+    """The degree-j expansion on one denominator, (target indices, nums, D) with c(j, m) = nums[m] / D.
 
-    D is the least common denominator, so gcd(D, *nums) = 1; the corollary sums and the round trip read it.
+    m = 0 .. floor(j/2), and the target index is j-2m plus the target family's
+    shift.  Each c(j, m) is the verbatim closed form ``_coefficient``; D is the
+    lcm of their reduced denominators, so gcd(D, *nums) = 1.  This cached
+    tuple is the one record of each expansion: ``terms`` and ``expand`` view
+    it, the round trip and the corollary sums read it, some at j = 0, below
+    ``direction.min_index``.
     """
-    ts = terms(j, direction)
-    den = math.lcm(*(t.coefficient.denominator for t in ts))
-    nums = tuple(t.coefficient.numerator * (den // t.coefficient.denominator) for t in ts)
-    return tuple(t.target_index for t in ts), nums, den
+    coefficients = [_coefficient(j, m, direction) for m in range(j // 2 + 1)]
+    den = math.lcm(*(c.denominator for c in coefficients))
+    nums = tuple(c.numerator * (den // c.denominator) for c in coefficients)
+    shift = direction.target_basis.shift
+    return tuple(j - 2 * m + shift for m in range(j // 2 + 1)), nums, den
+
+
+def terms(j: int, direction: Direction) -> tuple[ExpansionTerm, ...]:
+    """The terms (m, target index, coefficient) of the degree-j expansion: ``row`` as ``Fraction``s, uncached."""
+    indices, nums, den = row(j, direction)
+    return tuple(ExpansionTerm(m, n, Fraction(c, den)) for m, (n, c) in enumerate(zip(indices, nums)))
+
+
+def _check_min_index(j: int, direction: Direction) -> None:
+    if j < direction.min_index:
+        raise ValueError(f"{direction.value} expansion requires j >= {direction.min_index}, got {j}")
 
 
 @lru_cache(maxsize=None)
 def expand(j: int, direction: Direction) -> Expansion:
-    """Connection coefficients of the degree-j source: ``terms`` behind the min_index guard."""
-    if j < direction.min_index:
-        raise ValueError(f"{direction.value} expansion requires j >= {direction.min_index}, got {j}")
+    """The degree-j source's ``Expansion``: ``terms`` behind the min_index guard, cached.
+
+    It serves the library's callers; no ``verify`` suite calls it, since the
+    round trip is ``reconstruct`` and the corollary sums read ``row``.
+    """
+    _check_min_index(j, direction)
     return Expansion(j, direction, terms(j, direction))
+
+
+def reconstruct(j: int, direction: Direction) -> Polynomial:
+    """The degree-j expansion summed over its basis members; must equal the source polynomial.
+
+    One integer vector over ``row``: nums[m] times each target member's integer
+    numerators, over D times the lcm of the members' denominators, reduced
+    once.  Held to ``direction.min_index``, as ``expand`` is.
+    """
+    _check_min_index(j, direction)
+    indices, nums, den = row(j, direction)
+    members = [direction.target_basis.member(index).integer_form() for index in indices]
+    scale = math.lcm(*(d for _, d in members))  # 1: the family members are integer polynomials
+    out = [0] * max(len(elem) for elem, _ in members)
+    for c, (elem, d) in zip(nums, members):
+        c *= scale // d
+        for i, e in enumerate(elem):
+            if e:
+                out[i] += c * e
+    return Polynomial._from_lattice(out, den * scale)
 
 
 def table_rows(direction: Direction, jmax: int) -> Iterator[tuple[int, tuple[int, ...], int]]:

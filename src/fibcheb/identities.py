@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import mul
 
-from .connection import Direction, row, terms
+from .connection import Direction, row
 from .hypergeometric import fibonacci_as_2f1, hyp2f1
 from .report import Check, Report, make_report
 from .scalars import GaussianRational, I, binomial, dyadic_ratio, lattice_parts, lattice_sum, sqrt_pi_over_gamma
@@ -39,35 +40,77 @@ from .sequences import (
 )
 
 
-def _expansion_at(j: int, direction: Direction, value_at):
-    """The degree-j connection formula with basis values supplied by ``value_at``.
+class _Column:
+    """One family's basis values n -> value_at(n) as integers (re[n], im[n]) over one common denominator q.
 
-    Sums c(j, m) * value_at(target index) over the terms of the expansion, so
+    Filled only at the indices the rows read: ``fill`` adds the missing ones,
+    and when their denominators grow q to its lcm with them, the stored
+    entries are rescaled to the new q.  ``gaussian`` is set once a value held
+    is a ``GaussianRational``.
+    """
+
+    __slots__ = ("value_at", "re", "im", "q", "gaussian")
+
+    def __init__(self, value_at):
+        self.value_at = value_at
+        self.re: dict[int, int] = {}
+        self.im: dict[int, int] = {}
+        self.q = 1
+        self.gaussian = False
+
+    def fill(self, indices) -> None:
+        new = []
+        for n in set(indices).difference(self.re):
+            value = self.value_at(n)
+            self.gaussian = self.gaussian or isinstance(value, GaussianRational)
+            new.append((n, *lattice_parts(value)))
+        q = math.lcm(self.q, *(d for *_, d in new))
+        if q != self.q:
+            scale = q // self.q
+            self.re = {n: v * scale for n, v in self.re.items()}
+            self.im = {n: v * scale for n, v in self.im.items()}
+            self.q = q
+        for n, p, r, d in new:
+            self.re[n] = p * (q // d)
+            self.im[n] = r * (q // d)
+
+
+@lru_cache(maxsize=None)
+def _column(value_at, *args, **kwargs) -> _Column:
+    """The column of the basis values value_at(*args, n, **kwargs), one per family and parameters.
+
+    The cache key is the family's function and its parameters; a ``partial``
+    would hash by identity and never hit.
+    """
+    return _Column(partial(value_at, *args, **kwargs) if args or kwargs else value_at)
+
+
+def _expansion_at(j: int, direction: Direction, column):
+    """The degree-j connection formula with the basis values of ``column``.
+
+    Sums c(j, m) * value(target index) over the terms of the expansion, so
     every corollary that evaluates an expansion at a special point (x = 1,
-    a Laurent point, cos t, i/2, -2i) reuses the one transcription of its
-    coefficients in ``connection``.  It is an integer dot product over the
-    expansion's ``row``, c(j, m) = nums[m] / D: an ``int`` value enters as it
-    is, any other as (p + r i) / q by ``lattice_parts``, over a running lcm Q
-    of those q.  The sum is reduced once, over D Q, to a ``Fraction``, or to a
-    ``GaussianRational`` if any value was Gaussian.
+    a Laurent point, i/2, -2i) reuses the one transcription of its
+    coefficients in ``connection``.  With c(j, m) = nums[m] / D from the
+    expansion's ``row`` and the values re[n] (+ im[n] i) / Q of a ``_Column``,
+    it is one integer dot product, reduced once over D Q: to a ``Fraction``,
+    or to a ``GaussianRational`` if the column holds a Gaussian value.  Any
+    other ``column`` is a function of the index, filled into a column for
+    this one call.
     """
     indices, nums, den = row(j, direction)
-    acc_re, acc_im, q_all, gaussian = 0, 0, 1, False
-    for n, c in zip(indices, nums):
-        value = value_at(n)
-        if type(value) is int:
-            acc_re += c * q_all * value
-            continue
-        gaussian = gaussian or isinstance(value, GaussianRational)
-        p, r, q = lattice_parts(value)
-        if q_all % q:
-            lcm = math.lcm(q_all, q)
-            acc_re, acc_im, q_all = acc_re * (lcm // q_all), acc_im * (lcm // q_all), lcm
-        c *= q_all // q
-        acc_re += c * p
-        acc_im += c * r
-    total = Fraction(acc_re, den * q_all)
-    return GaussianRational(total, Fraction(acc_im, den * q_all)) if gaussian else total
+    if not isinstance(column, _Column):
+        column = _Column(column)
+    try:
+        acc_re = sum(map(mul, nums, map(column.re.__getitem__, indices)))
+    except KeyError:
+        column.fill(indices)
+        acc_re = sum(map(mul, nums, map(column.re.__getitem__, indices)))
+    total = Fraction(acc_re, den * column.q)
+    if not column.gaussian:
+        return total
+    acc_im = sum(map(mul, nums, map(column.im.__getitem__, indices)))
+    return GaussianRational(total, Fraction(acc_im, den * column.q))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +127,7 @@ def verify_cor_sum_T(j: int) -> Report:
     """
     if j < 1:
         raise ValueError(f"identity stated for j >= 1, got {j}")
-    corrected = _expansion_at(j, Direction.T_IN_F, fibonacci_number)
+    corrected = _expansion_at(j, Direction.T_IN_F, _column(fibonacci_number))
     printed = corrected / j
     return make_report(
         "cor5.1-T",
@@ -100,7 +143,7 @@ def verify_cor_sum_U(j: int) -> Report:
     """Weighted Fibonacci-number sum equal to U_j(1) = j + 1 (exact as printed)."""
     if j < 1:
         raise ValueError(f"identity stated for j >= 1, got {j}")
-    value = _expansion_at(j, Direction.U_IN_F, fibonacci_number)
+    value = _expansion_at(j, Direction.U_IN_F, _column(fibonacci_number))
     return make_report("cor5.1-U", {"j": j}, [Check("sum", value, Fraction(j + 1))])
 
 
@@ -109,14 +152,24 @@ def verify_cor_sum_U(j: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _t_at_1(n: int) -> int:
+    """T_n(1) = 1."""
+    return 1
+
+
+def _u_at_1(n: int) -> int:
+    """U_n(1) = n + 1."""
+    return n + 1
+
+
 def _fib_sum_first_kind(j: int) -> Fraction:
-    """F_{j+1} as the F-in-T expansion at x = 1, where T_n(1) = 1."""
-    return _expansion_at(j, Direction.F_IN_T, lambda n: 1)
+    """F_{j+1} as the F-in-T expansion at x = 1."""
+    return _expansion_at(j, Direction.F_IN_T, _column(_t_at_1))
 
 
 def _fib_sum_second_kind(j: int) -> Fraction:
-    """F_{j+1} as the F-in-U expansion at x = 1, where U_n(1) = n + 1."""
-    return _expansion_at(j, Direction.F_IN_U, lambda n: n + 1)
+    """F_{j+1} as the F-in-U expansion at x = 1."""
+    return _expansion_at(j, Direction.F_IN_U, _column(_u_at_1))
 
 
 def verify_fib_expressions(j: int) -> Report:
@@ -222,8 +275,8 @@ def verify_complex_identities(n: int) -> Report:
     fib_next = Fraction(fibonacci_number(n + 1))
     fib_triple = Fraction(fibonacci_number(3 * (n + 1)))
 
-    sum_half_i = _expansion_at(n, Direction.U_IN_F, partial(_fibonacci_at, point=HALF_I))
-    sum_minus_two_i = 2 * _expansion_at(n, Direction.U_IN_F, partial(_fibonacci_at, point=MINUS_TWO_I))
+    sum_half_i = _expansion_at(n, Direction.U_IN_F, _column(_fibonacci_at, point=HALF_I))
+    sum_minus_two_i = 2 * _expansion_at(n, Direction.U_IN_F, _column(_fibonacci_at, point=MINUS_TWO_I))
 
     checks = [
         Check("eq-complex-1", u_at_half_i / _I_POWERS[n % 4], GaussianRational(fib_next)),
@@ -239,9 +292,8 @@ def verify_complex_identities(n: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _laurent_at(n: int, x0: Fraction) -> Fraction:
-    """(x0^n + x0^-n) / 2, T_n at (x0 + 1/x0)/2, computed once per (n, x0) for the sums of every j."""
+    """(x0^n + x0^-n) / 2, T_n at (x0 + 1/x0)/2, read once per (n, x0) into its column."""
     return (x0**n + x0**-n) / 2
 
 
@@ -256,7 +308,7 @@ def verify_laurent_identity(j: int, x0: Fraction) -> Report:
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     lhs = fibonacci_poly(j + 1)((x0 + 1 / x0) / 2)
-    rhs = _expansion_at(j, Direction.F_IN_T, partial(_laurent_at, x0=x0))
+    rhs = _expansion_at(j, Direction.F_IN_T, _column(_laurent_at, x0=x0))
     return make_report("laurent", {"j": j, "x0": x0}, [Check("point-value", lhs, rhs)])
 
 
@@ -272,7 +324,9 @@ def verify_trig_identity(j: int, theta: float) -> float:
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     lhs = fibonacci_poly(j + 1).eval_float_exact(math.cos(theta))
-    rhs = math.fsum(float(c) * math.cos(n * theta) for _, n, c in terms(j, Direction.F_IN_T))
+    indices, nums, den = row(j, Direction.F_IN_T)
+    # c / den is correctly rounded, so it equals float(Fraction(c, den)) bit for bit
+    rhs = math.fsum(c / den * math.cos(n * theta) for n, c in zip(indices, nums))
     return abs(lhs - rhs)
 
 
@@ -341,22 +395,22 @@ def verify_derivative_corollaries(j: int, q: int) -> Report:
     # The right sides of the two weighted sums are the closed forms of
     # T_j^(q)(1) / j and U_j^(q)(1) / 2^j, the latter with (1-j)_(q-1).
     if j >= 1:
-        sum_T = _expansion_at(j, Direction.T_IN_F, partial(fibonacci_deriv_at_1, q))
+        sum_T = _expansion_at(j, Direction.T_IN_F, _column(fibonacci_deriv_at_1, q))
         checks.append(Check("sum-T", _over(sum_T, j), _over(_t_deriv_at_1(q, j), j)))
         checks.append(Check("sum-T-vs-DqT", sum_T, cheb_deriv_at_1(Basis.CHEBYSHEV_T, q, j)))
     else:
         note = "sum-T skipped at j = 0 (closed form divides by j - m)"
 
-    sum_U = _expansion_at(j, Direction.U_IN_F, partial(fibonacci_deriv_at_1, q))
+    sum_U = _expansion_at(j, Direction.U_IN_F, _column(fibonacci_deriv_at_1, q))
     rhs_U = _over(_u_deriv_at_1(q, j, include_missing_factor=True), 1 << j)
     checks.append(Check("sum-U", _over(sum_U, 1 << j), rhs_U))
     checks.append(Check("sum-U-vs-DqU", sum_U, cheb_deriv_at_1(Basis.CHEBYSHEV_U, q, j)))
 
     oracle = fibonacci_deriv_at_1(q, j + 1)
-    checks.append(Check("deriv-T", _expansion_at(j, Direction.F_IN_T, partial(_t_deriv_at_1, q)), oracle))
+    checks.append(Check("deriv-T", _expansion_at(j, Direction.F_IN_T, _column(_t_deriv_at_1, q)), oracle))
 
     printed_U, corrected_U = (
-        _expansion_at(j, Direction.F_IN_U, partial(_u_deriv_at_1, q, include_missing_factor=fix))
+        _expansion_at(j, Direction.F_IN_U, _column(_u_deriv_at_1, q, include_missing_factor=fix))
         for fix in (False, True)
     )
     checks.append(Check("deriv-U-corrected", corrected_U, oracle))

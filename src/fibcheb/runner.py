@@ -35,6 +35,14 @@ DEFAULT_SAFETY_CAP = 500
 # 72, 180 and 373 MB of resident memory at j = 1000, 1500 and 2000 (Python
 # 3.11.7, 2-CPU x86-64 host), which puts j = 2500 near 730 MB, extrapolated.
 INTEGRATE_SAFETY_CAP = 2500
+# eval's fixed bounds on the size of its numbers.  An operand's text is held
+# to 4,300 digits plus |exponent|, CPython's default int_max_str_digits, before
+# it is parsed: Fraction("1e100000000") would build a 332-million-bit integer.
+# The result's digits, estimated as the termination index times the digits of
+# the operands, are held to 100,000 before a term is summed: Python 3.10 and
+# 3.11 write an integer's decimal text in quadratic time.
+EVAL_OPERAND_CAP = 4300
+EVAL_DIGITS_CAP = 100_000
 TRIG_ABS_TOL = 1e-9
 TRIG_SAMPLE_COUNT = 16
 
@@ -104,7 +112,7 @@ def _run_lemma(j: int, m: int) -> Report:
 def _run_connection(j: int, direction: str) -> Report:
     direction = connection.Direction(direction)
     source = direction.source_polynomial(j)
-    rebuilt = connection.expand(j, direction).reconstruct()
+    rebuilt = connection.reconstruct(j, direction)
     row = connection.row(j, direction)
     checks = [
         Check("round-trip", rebuilt, source),

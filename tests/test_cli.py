@@ -11,6 +11,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fibcheb import Direction, GaussianRational, PiMultiple, Polynomial, integrals, runner
-from fibcheb.cli import dyadic_text, main
+from fibcheb.cli import dyadic_text, main, operand_size
 from fibcheb.report import Check, Report, Status
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -153,6 +154,39 @@ class TestEval:
         finally:
             sys.set_int_max_str_digits(limit)
         assert out == expected
+
+    @pytest.mark.parametrize(
+        "text, size", [("-1/2", 2), ("1.5e-3", 5), ("1E+10", 11), (" 2_000 ", 4), ("abc", 0), ("1e", 1)]
+    )
+    def test_operand_size_is_digits_plus_exponent(self, text, size):
+        assert operand_size(text) == size
+
+    def test_an_operand_past_its_bound_exits_before_it_is_parsed(self, capsys):
+        # Fraction("1e100000000") would build a 332-million-bit integer first
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--a=-1", "--b", "2", "--c", "3", "--z", "1e100000000"])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        assert "argument --z: operand_size 100000001 exceeds safety cap 4300" in capsys.readouterr().err
+
+    def test_an_operand_at_its_bound_is_admitted(self, capsys):
+        at_bound = run_cli(capsys, "eval", "--a=-1", "--b", "1", "--c", "1", "--z", "1e4299")
+        assert at_bound == (0, f"{1 - 10**4299}\n", "")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--a=-1", "--b", "1", "--c", "1", "--z=-" + "7" * 4301])
+        assert exc.value.code == 2
+        assert "argument --z: operand_size 4301 exceeds safety cap 4300" in capsys.readouterr().err
+
+    def test_a_result_past_its_digit_estimate_exits_before_a_term_is_summed(self, capsys):
+        # (1 - 10^3999)^500 has 2 million digits; its estimate is 500 * (4 + 2 + 2 + 4001)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", "--a", "-500", "--b", "1", "--c", "1", "--z", "1" + "0" * 3999)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", "error: estimated_digits 2004500 exceeds safety cap 100000\n")
+        # 24 * 4009 digits estimated, 95,976 written
+        code, out, _ = run_cli(capsys, "eval", "--a", "-24", "--b", "1", "--c", "1", "--z", "1" + "0" * 3999)
+        assert code == 0 and len(out) == 95_977
 
     @pytest.mark.parametrize("flag, text", [("--z", "1/0"), ("--b", "abc")])
     def test_unparsable_parameter_names_its_flag(self, capsys, flag, text):
@@ -439,10 +473,10 @@ class TestVerify:
         # named and ordered as in the report of the same task when it does not raise
         passing = runner.execute_task(("connection", 2, "f-in-t"))
 
-        def raising_expand(j, direction):
+        def raising_reconstruct(j, direction):
             raise ZeroDivisionError("injected")
 
-        monkeypatch.setattr(runner.connection, "expand", raising_expand)
+        monkeypatch.setattr(runner.connection, "reconstruct", raising_reconstruct)
         failing = runner.execute_task(("connection", 2, "f-in-t"))
         assert failing.error == "ZeroDivisionError: injected"
         assert failing.params == passing.params == (("direction", "f-in-t"), ("j", 2))
@@ -491,8 +525,8 @@ class TestVerify:
         assert report.text_line() == "cor5.2(j=3,q=1/2): Fail printed_residual=-5/2 corrected_residual=-"
 
     def test_a_failing_round_trip_prints_its_polynomials_by_str(self, monkeypatch):
-        reconstruct = runner.connection.Expansion.reconstruct
-        monkeypatch.setattr(runner.connection.Expansion, "reconstruct", lambda expansion: reconstruct(expansion) + 1)
+        reconstruct = runner.connection.reconstruct
+        monkeypatch.setattr(runner.connection, "reconstruct", lambda j, direction: reconstruct(j, direction) + 1)
         report = runner.execute_task(("connection", 2, "t-in-f"))
         assert report.status is Status.FAIL
         first = {"name": "round-trip", "lhs": "2*x^2", "rhs": "2*x^2 - 1", "residual": "1"}

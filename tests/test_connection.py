@@ -94,14 +94,18 @@ class TestClosedFormOnTheLattice:
 class TestRowOnOneDenominator:
     @pytest.mark.parametrize("direction", list(Direction))
     def test_row_is_the_terms_over_their_least_common_denominator(self, direction):
+        shift = direction.target_basis.shift
         for j in range(1 if direction is Direction.T_IN_F else 0, 61):
-            ts = terms(j, direction)
+            coefficients = [_coefficient(j, m, direction) for m in range(j // 2 + 1)]
             indices, nums, den = connection.row(j, direction)
-            assert indices == tuple(t.target_index for t in ts)
+            assert indices == tuple(j - 2 * m + shift for m in range(j // 2 + 1))
             assert all(type(v) is int for v in (den, *nums))
-            assert [Fraction(n, den) for n in nums] == [t.coefficient for t in ts], (direction, j)
-            assert den == math.lcm(*(t.coefficient.denominator for t in ts))
+            assert [Fraction(n, den) for n in nums] == coefficients, (direction, j)
+            assert den == math.lcm(*(c.denominator for c in coefficients))
             assert math.gcd(den, *nums) == 1
+            assert terms(j, direction) == tuple(
+                ExpansionTerm(m, n, c) for m, (n, c) in enumerate(zip(indices, coefficients))
+            )
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_reconstruct_equals_the_stepwise_sum(self, direction):
@@ -157,10 +161,10 @@ class TestExpansions:
         assert expand(3, Direction.F_IN_U).reconstruct() == fibonacci_poly(4)
 
     def test_rejects_zero_index_for_chebyshev_sources(self):
-        with pytest.raises(ValueError):
-            expand(0, Direction.T_IN_F)
-        with pytest.raises(ValueError):
-            expand(0, Direction.U_IN_F)
+        for direction in (Direction.T_IN_F, Direction.U_IN_F):
+            for build in (expand, connection.reconstruct):
+                with pytest.raises(ValueError, match="requires j >= 1, got 0"):
+                    build(0, direction)
 
     def test_terms_are_unguarded_at_zero(self):
         # U_0 = 1 = F_1: the corollaries evaluated at n = 0 need this term,
@@ -168,9 +172,13 @@ class TestExpansions:
         assert list(terms(0, Direction.U_IN_F)) == [(0, 1, 1)]
 
     def test_expand_shares_the_cached_terms(self):
+        # terms is an uncached view of the cached row, and expand holds that view
         for direction in Direction:
-            assert terms(5, direction) is terms(5, direction)
-            assert expand(5, direction).terms is terms(5, direction)
+            indices, nums, den = connection.row(5, direction)
+            view = tuple(ExpansionTerm(m, n, Fraction(c, den)) for m, (n, c) in enumerate(zip(indices, nums)))
+            assert terms(5, direction) == view
+            assert expand(5, direction).terms == terms(5, direction)
+            assert expand(5, direction) is expand(5, direction)
 
     def test_fibonacci_sources_allow_zero(self):
         assert expand(0, Direction.F_IN_T).reconstruct() == Polynomial((1,))

@@ -62,6 +62,10 @@ GOLDEN = {
 CI_ONLY = [
     *(f"table_{direction}_j900.csv.sha256" for direction in ("f-in-t", "f-in-u")),
     "verify_integrals_j120.json.sha256",
+    # the corollary sums far past jmax 36, where their basis-value columns are rescaled many times
+    "verify_laurent_j200.json.sha256",
+    "verify_cor52_j120_q10.json.sha256",
+    "verify_complex_j100.json.sha256",
 ]
 
 

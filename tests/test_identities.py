@@ -29,13 +29,15 @@ from fibcheb.connection import Direction, terms
 from fibcheb.identities import (
     HALF_I,
     MINUS_TWO_I,
+    _column,
+    _Column,
     _expansion_at,
     _fibonacci_at,
     _laurent_at,
     _t_deriv_at_1,
     _u_deriv_at_1,
 )
-from fibcheb.scalars import GaussianRational
+from fibcheb.scalars import GaussianRational, lattice_parts
 from fibcheb.sequences import Basis, cheb_deriv_at_1, fibonacci_deriv_at_1, fibonacci_poly
 
 big_ints = st.integers(min_value=-(10**30), max_value=10**30)
@@ -58,6 +60,43 @@ class TestExpansionAt:
         assert got == plain
         gaussian = any(isinstance(values[n], GaussianRational) for _, n, _ in expansion)
         assert type(got) is (GaussianRational if gaussian else Fraction)
+
+
+class TestNamedColumn:
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_a_column_filled_out_of_order_gives_the_one_call_sums(self, data):
+        direction = data.draw(st.sampled_from(list(Direction)))
+        values = data.draw(st.lists(data.draw(value_kinds), min_size=42, max_size=42))
+        js = data.draw(st.lists(st.integers(min_value=direction.min_index, max_value=40), min_size=1, max_size=12))
+        column = _Column(values.__getitem__)
+        for j in js:
+            got = _expansion_at(j, direction, column)
+            assert got == _expansion_at(j, direction, values.__getitem__), (direction, js, j)
+            gaussian = any(isinstance(values[n], GaussianRational) for n in column.re)
+            assert type(got) is (GaussianRational if gaussian else Fraction)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_rows_read_in_any_order_rescale_the_column(self, direction):
+        # each new index brings a new denominator, so a higher row rescales what lower rows stored
+        values = [GaussianRational(Fraction(n + 1, 3**n), Fraction(-1, 2 * n + 1)) for n in range(42)]
+        rationals = [value.re for value in values]
+        for value_at in (values.__getitem__, rationals.__getitem__):
+            column = _Column(value_at)
+            for j in (4, 7, 3, 30, 12, 31, 40, 5, 39, 1):
+                if j < direction.min_index:
+                    continue
+                stepwise = sum((c * value_at(n) for _, n, c in terms(j, direction)), Fraction(0))
+                got = _expansion_at(j, direction, column)
+                assert got == stepwise and type(got) is type(stepwise), (direction, j)
+            # the one common denominator is the least
+            assert column.q == math.lcm(*(lattice_parts(value_at(n))[2] for n in column.re))
+
+    def test_named_columns_are_cached_by_family_and_parameters(self):
+        assert _column(fibonacci_deriv_at_1, 2) is _column(fibonacci_deriv_at_1, 2)
+        assert _column(fibonacci_deriv_at_1, 2) is not _column(fibonacci_deriv_at_1, 3)
+        assert _column(_laurent_at, x0=Fraction(1, 2)) is _column(_laurent_at, x0=Fraction(1, 2))
+        assert _column(_fibonacci_at, point=HALF_I) is not _column(_fibonacci_at, point=MINUS_TWO_I)
 
 
 class TestExpansionAtTheCorollaryValues:
