@@ -5,10 +5,10 @@ sums (kept verbatim, prefactors included, so a transcription slip cannot hide
 behind algebraic simplification), and an independent triangular-elimination
 oracle recovers the same expansion from the polynomials alone.  Each row is
 cached once, as ``row``: the verbatim coefficients as integers over their
-least common denominator, which the corollary sums and the round trip
-(``reconstruct``) read as integer dot products.  ``terms`` is an uncached view
-of it as ``Fraction``s.  The oracle returns the same integer form, so the two
-routes must agree as equal tuples.
+least common denominator, which the corollary sums, the printed F x F
+integrals and the round trip (``reconstruct``) read as integer dot products.
+``terms`` is an uncached view of it as ``Fraction``s.  The oracle returns the
+same integer form, so the two routes must agree as equal tuples.
 
 Tables take a third route: ``table_rows`` builds each whole row of
 coefficients from the two rows before it by the family relations, in integer
@@ -112,8 +112,8 @@ def row(j: int, direction: Direction) -> tuple[tuple[int, ...], tuple[int, ...],
     shift.  Each c(j, m) is the verbatim closed form ``_coefficient``; D is the
     lcm of their reduced denominators, so gcd(D, *nums) = 1.  This cached
     tuple is the one record of each expansion: ``terms`` and ``expand`` view
-    it, the round trip and the corollary sums read it, some at j = 0, below
-    ``direction.min_index``.
+    it, the round trip, the corollary sums and the printed F x F integrals
+    read it, some at j = 0, below ``direction.min_index``.
     """
     coefficients = [_coefficient(j, m, direction) for m in range(j // 2 + 1)]
     den = math.lcm(*(c.denominator for c in coefficients))

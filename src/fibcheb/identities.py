@@ -85,7 +85,7 @@ def _column(value_at, *args, **kwargs) -> _Column:
     return _Column(partial(value_at, *args, **kwargs) if args or kwargs else value_at)
 
 
-def _expansion_at(j: int, direction: Direction, column):
+def _expansion_at(j: int, direction: Direction, column: _Column):
     """The degree-j connection formula with the basis values of ``column``.
 
     Sums c(j, m) * value(target index) over the terms of the expansion, so
@@ -94,13 +94,9 @@ def _expansion_at(j: int, direction: Direction, column):
     coefficients in ``connection``.  With c(j, m) = nums[m] / D from the
     expansion's ``row`` and the values re[n] (+ im[n] i) / Q of a ``_Column``,
     it is one integer dot product, reduced once over D Q: to a ``Fraction``,
-    or to a ``GaussianRational`` if the column holds a Gaussian value.  Any
-    other ``column`` is a function of the index, filled into a column for
-    this one call.
+    or to a ``GaussianRational`` if the column holds a Gaussian value.
     """
     indices, nums, den = row(j, direction)
-    if not isinstance(column, _Column):
-        column = _Column(column)
     try:
         acc_re = sum(map(mul, nums, map(column.re.__getitem__, indices)))
     except KeyError:
@@ -251,9 +247,8 @@ HALF_I = GaussianRational(0, Fraction(1, 2))
 MINUS_TWO_I = GaussianRational(0, -2)
 
 
-@lru_cache(maxsize=None)
 def _fibonacci_at(k: int, point: GaussianRational) -> GaussianRational:
-    """F_k at a Gaussian point, computed once per (k, point) for the sums of every n."""
+    """F_k at a Gaussian point, read once per (k, point) into its column."""
     return fibonacci_poly(k)(point)
 
 
@@ -340,7 +335,6 @@ def _rising(a: int, k: int) -> int:
     return math.prod(range(a, a + k))
 
 
-@lru_cache(maxsize=None)
 def _t_deriv_at_1(q: int, n: int) -> Fraction:
     """T_n^(q)(1) as printed: (-1)^(q+1) sqrt(pi)/Gamma(q+1/2) 2^-q n^2 (n+1)_(q-1) (1-n)_(q-1).
 
@@ -351,7 +345,6 @@ def _t_deriv_at_1(q: int, n: int) -> Fraction:
     return dyadic_ratio(num, s.denominator, -q)
 
 
-@lru_cache(maxsize=None)
 def _u_deriv_at_1(q: int, n: int, *, include_missing_factor: bool) -> Fraction:
     """U_n^(q)(1) as printed: (-1)^(q+1) sqrt(pi)/Gamma(q+3/2) 2^(-q-1) n(n+1)(n+2) (n+3)_(q-1).
 

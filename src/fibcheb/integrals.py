@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
-from .connection import Direction, oracle_expand, terms
+from .connection import Direction, oracle_expand, row as expansion_row
 from .hypergeometric import hyp2f1
 from .polynomials import Polynomial
 from .report import Check, Report, Status, make_report
@@ -362,8 +362,8 @@ def printed_fib_fib_second(j: int, k: int) -> PiMultiple:
     coefficients of both factors, paired by the summation index m (which
     pairs equal target degrees only at j = k), for m = 0 .. floor(k/2), k <= j.
     """
-    pairs = zip(terms(k, Direction.F_IN_U), terms(j, Direction.F_IN_U))
-    return PiMultiple(sum(ck * cj for (_, _, ck), (_, _, cj) in pairs) / 2)
+    (_, nums_k, den_k), (_, nums_j, den_j) = (expansion_row(i, Direction.F_IN_U) for i in (k, j))
+    return PiMultiple(Fraction(sum(ck * cj for ck, cj in zip(nums_k, nums_j)), 2 * den_k * den_j))
 
 
 def printed_fib_fib_first(j: int, k: int, d_m: Callable[[int], Fraction]) -> PiMultiple:
@@ -374,8 +374,9 @@ def printed_fib_fib_first(j: int, k: int, d_m: Callable[[int], Fraction]) -> PiM
     The published sum is half of sum_m d_m c(j, m) c(k, m) over the F-in-T
     coefficients of both factors, paired by m, for m = 0 .. floor(k/2), k <= j.
     """
-    pairs = zip(terms(k, Direction.F_IN_T), terms(j, Direction.F_IN_T))
-    return PiMultiple(sum(d_m(m) * ck * cj for (m, _, ck), (_, _, cj) in pairs) / 2)
+    (_, nums_k, den_k), (_, nums_j, den_j) = (expansion_row(i, Direction.F_IN_T) for i in (k, j))
+    total = sum(d_m(m) * ck * cj for m, (ck, cj) in enumerate(zip(nums_k, nums_j)))
+    return PiMultiple(Fraction(total, 2 * den_k * den_j))
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,8 @@ def fibonacci_deriv_at_1(q: int, n: int) -> int:
     """q-th derivative of F_n at x = 1, by formal differentiation, once per (q, n).
 
     F_n has integer coefficients, so the value is the sum of the derivative's
-    integer numerators.  The derivative sums of ``identities`` read each value
-    for every degree j of the expansions that contain F_n.
+    integer numerators.  Each column of ``identities`` reads it once; the cache
+    serves the derivative corollaries' oracle, which must not read the column it checks.
     """
     if q < 0 or n < 0:
         raise ValueError(f"q and n must be >= 0, got q={q}, n={n}")

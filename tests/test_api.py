@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fibcheb
-from fibcheb import connection
+from fibcheb import connection, runner
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -88,3 +88,41 @@ def test_cli_import_loads_every_module_the_tracer_wraps():
         "print(len(modules), *sorted({'fibcheb.' + m for m in modules} - loaded))"
     )
     assert fresh(probe) == ["10"]
+
+
+def after_runs(runs, report):
+    """The stdout words of ``report`` run by ``fresh`` after cli.main, output discarded, ran each of ``runs``."""
+    probe = (
+        "import contextlib, io, sys\nfrom fibcheb import cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    for run in {runs!r}:\n        cli.main(run)\n"
+    )
+    return fresh(probe + report)
+
+
+def test_every_cache_is_reread():
+    # A cache whose entries are never read again only holds a second copy of what it computed.
+    runs = [
+        ["verify", "--suite", "all", "--jmax", "8", "--qmax", "3"],
+        ["table", "--direction", "f-in-t", "--jmax", "20"],
+    ]
+    report = (
+        "for name, module in sorted(sys.modules.items()):\n"
+        "    for attr, value in vars(module).items():\n"
+        "        if name.startswith('fibcheb.') and hasattr(value, 'cache_info') and value.__module__ == name:\n"
+        "            print(f'{name}.{attr}={value.cache_info().hits}')\n"
+    )
+    hits = dict(word.split("=") for word in after_runs(runs, report))
+    assert "fibcheb.hypergeometric.eval_2f1" in hits, sorted(hits)
+    # The one exception: no command calls connection.expand, which serves the library's callers;
+    # its cache stays because the benchmark tracer (benchmarks/layers.py CACHED) reads its cache_info().
+    assert [name for name, count in hits.items() if count == "0"] == ["fibcheb.connection.expand"]
+
+
+def test_the_identity_suites_fit_within_the_hypergeometric_cache_bound():
+    # The nine suites of the benchmark's identities workload, in one interpreter: while the cache
+    # is not full, its bound has evicted nothing those suites would read again.
+    runs = [["verify", "--suite", s, "--jmax", "36", "--qmax", "5"] for s in runner.SUITES if s != "integrals"]
+    report = "info = sys.modules['fibcheb.hypergeometric'].eval_2f1.cache_info()\nprint(info.currsize, info.maxsize)"
+    currsize, maxsize = after_runs(runs, report)
+    assert len(runs) == 9 and maxsize != "None"
+    assert 0 < int(currsize) < int(maxsize)

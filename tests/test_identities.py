@@ -56,7 +56,7 @@ class TestExpansionAt:
         values = data.draw(st.lists(data.draw(value_kinds), min_size=j + 2, max_size=j + 2))
         expansion = terms(j, direction)
         plain = sum((c * values[n] for _, n, c in expansion), Fraction(0))
-        got = _expansion_at(j, direction, values.__getitem__)
+        got = _expansion_at(j, direction, _Column(values.__getitem__))
         assert got == plain
         gaussian = any(isinstance(values[n], GaussianRational) for _, n, _ in expansion)
         assert type(got) is (GaussianRational if gaussian else Fraction)
@@ -72,7 +72,7 @@ class TestNamedColumn:
         column = _Column(values.__getitem__)
         for j in js:
             got = _expansion_at(j, direction, column)
-            assert got == _expansion_at(j, direction, values.__getitem__), (direction, js, j)
+            assert got == _expansion_at(j, direction, _Column(values.__getitem__)), (direction, js, j)
             gaussian = any(isinstance(values[n], GaussianRational) for n in column.re)
             assert type(got) is (GaussianRational if gaussian else Fraction)
 
@@ -120,7 +120,7 @@ class TestExpansionAtTheCorollaryValues:
         value_at, sum_type = self.VALUES[kind]
         for j in range(1 if direction is Direction.T_IN_F else 0, 41):
             stepwise = sum((c * value_at(n) for _, n, c in terms(j, direction)), Fraction(0))
-            got = _expansion_at(j, direction, value_at)
+            got = _expansion_at(j, direction, _Column(value_at))
             assert type(got) is sum_type
             assert got == stepwise, (direction, kind, j)
 
@@ -128,24 +128,15 @@ class TestExpansionAtTheCorollaryValues:
 class TestCachedBasisValues:
     @given(st.lists(st.tuples(st.integers(1, 7), st.integers(0, 60)), min_size=1, max_size=20))
     def test_derivative_values_equal_their_closed_forms(self, pairs):
-        for cached in (_t_deriv_at_1, _u_deriv_at_1):
-            cached.cache_clear()
-        for _ in range(2):  # from an empty cache, then from a full one
-            for q, n in pairs:
-                assert _t_deriv_at_1(q, n) == _t_deriv_at_1.__wrapped__(q, n)
-                assert _t_deriv_at_1(q, n) == cheb_deriv_at_1(Basis.CHEBYSHEV_T, q, n)
-                for fix in (False, True):
-                    value = _u_deriv_at_1(q, n, include_missing_factor=fix)
-                    assert value == _u_deriv_at_1.__wrapped__(q, n, include_missing_factor=fix)
-                corrected = _u_deriv_at_1(q, n, include_missing_factor=True)
-                assert corrected == cheb_deriv_at_1(Basis.CHEBYSHEV_U, q, n)
+        for q, n in pairs:
+            assert _t_deriv_at_1(q, n) == cheb_deriv_at_1(Basis.CHEBYSHEV_T, q, n)
+            corrected = _u_deriv_at_1(q, n, include_missing_factor=True)
+            assert corrected == cheb_deriv_at_1(Basis.CHEBYSHEV_U, q, n)
 
     @given(st.lists(st.tuples(st.integers(0, 60), st.sampled_from([HALF_I, MINUS_TWO_I])), min_size=1))
     def test_gaussian_fibonacci_values_equal_the_polynomial_values(self, pairs):
-        _fibonacci_at.cache_clear()
-        for _ in range(2):
-            for k, point in pairs:
-                assert _fibonacci_at(k, point) == fibonacci_poly(k)(point)
+        for k, point in pairs:
+            assert _fibonacci_at(k, point) == fibonacci_poly(k)(point)
 
 
 class TestWeightedSumFirstKind:
