@@ -29,6 +29,7 @@ from .connection import Direction, row
 from .hypergeometric import fibonacci_as_2f1, hyp2f1
 from .report import Check, Report, make_report
 from .scalars import GaussianRational, I, binomial, dyadic_ratio, lattice_parts, lattice_sum, sqrt_pi_over_gamma
+from .scalars import HALF, THREE_HALVES
 from .sequences import (
     Basis,
     c_norm,
@@ -340,7 +341,7 @@ def _t_deriv_at_1(q: int, n: int) -> Fraction:
 
     The Gamma ratio enters as its two integers and 2^-q as a shift; the value is reduced once.
     """
-    s = sqrt_pi_over_gamma(q, Fraction(1, 2))
+    s = sqrt_pi_over_gamma(q, HALF)
     num = (-1) ** (q + 1) * s.numerator * n**2 * _rising(n + 1, q - 1) * _rising(1 - n, q - 1)
     return dyadic_ratio(num, s.denominator, -q)
 
@@ -353,7 +354,7 @@ def _u_deriv_at_1(q: int, n: int, *, include_missing_factor: bool) -> Fraction:
     produces; with the factor restored the value is U_n^(q)(1) for every q.
     Reduced once, as ``_t_deriv_at_1`` is.
     """
-    s = sqrt_pi_over_gamma(q, Fraction(3, 2))
+    s = sqrt_pi_over_gamma(q, THREE_HALVES)
     missing = _rising(1 - n, q - 1) if include_missing_factor else 1
     num = (-1) ** (q + 1) * s.numerator * _rising(n, 3) * _rising(n + 3, q - 1) * missing
     return dyadic_ratio(num, s.denominator, -q - 1)
