@@ -4,8 +4,13 @@ A fixture named ``*.sha256`` holds the SHA-256 digest of an output too large
 to keep verbatim.  A change to a fixture is a change to the program's output;
 make it on purpose, in a change of its own, and explain the diff.
 
-Run as a script (``PYTHONPATH=src python tests/test_golden.py``), the module
-checks every fixture of both tables in a fresh interpreter; see ``ci_main``.
+``REJECTED`` declares every input that argparse accepts but a command
+rejects, with the one ``error:`` line it ends as.
+
+Run as a script (``PYTHONPATH=src python tests/test_golden.py``, or from
+outside the checkout to check an installed copy), the module checks every
+fixture of both tables and every rejected input in a fresh interpreter; see
+``ci_main``.
 """
 
 import hashlib
@@ -18,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import fibcheb
 from fibcheb.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -104,6 +110,39 @@ CI_ONLY = {
 }
 
 
+# (argv, message): each input that argparse accepts but its command rejects
+# exits 2 with nothing on stdout and the one stderr line ``error: <message>``.
+# ci_main runs each argv as given, --workers 0 among them.
+REJECTED = [
+    (["table", "--direction", "f-in-t", "--jmax", "5", "--cap", "1"], "jmax 5 exceeds safety cap 1"),
+    (["table", "--direction", "f-in-t", "--jmax", "-1"], "jmax must be nonnegative, got -1"),
+    (["table", "--direction", "f-in-t", "--jmax", "501"], "jmax 501 exceeds safety cap 500"),
+    (["table", "--direction", "f-in-t", "--jmax", "0", "--cap", "-3"], "safety cap must be nonnegative, got -3"),
+    (["verify", "--suite", "lemma", "--jmax", "-1"], "jmax must be nonnegative, got -1"),
+    (["verify", "--suite", "lemma", "--jmax", "501"], "jmax 501 exceeds safety cap 500"),
+    (["verify", "--suite", "lemma", "--jmax", "0", "--cap", "-3"], "safety cap must be nonnegative, got -3"),
+    (["verify", "--suite", "cor52", "--jmax", "0", "--qmax", "501"], "qmax 501 exceeds safety cap 500"),
+    (["verify", "--suite", "lemma", "--jmax", "3", "--workers", "0"], "worker count must be positive"),
+    (["integrate", "--kind", "fu", "--j", "1", "--k", "3"], "requires j >= k >= 0, got j=1, k=3"),
+    (["integrate", "--kind", "ft", "--j", "99999999999999999999", "--k", "0"],
+     "j 99999999999999999999 exceeds safety cap 2500"),
+    (["integrate", "--kind", "ft", "--j", "3", "--k", "0", "--cap", "2"], "j 3 exceeds safety cap 2"),
+    (["eval", "--a=-3", "--b", "2", "--c=-1", "--z", "2"],
+     "2F1(-3, 2; -1; 2): lower parameter vanishes at term 2 of 3"),
+    (["eval", "--a", "1/2", "--b", "3/2", "--c", "1", "--z", "1/3"],
+     "2F1(1/2, 3/2; 1; 1/3) does not terminate: neither upper parameter is a nonpositive integer"),
+    # a series of 10^8 terms is refused before a term is summed
+    (["eval", "--a=-100000000", "--b", "1", "--c", "1", "--z", "1"],
+     "termination_index 100000000 exceeds safety cap 500"),
+    (["eval", "--a=-600", "--b", "1", "--c", "1", "--z", "1"], "termination_index 600 exceeds safety cap 500"),
+    (["eval", "--a=-600", "--b", "1", "--c", "1", "--z", "1", "--cap", "-1"],
+     "safety cap must be nonnegative, got -1"),
+    # (1 - 10^3999)^500 has 2 million digits; its estimate is 500 * (4 + 2 + 2 + 4001)
+    (["eval", "--a", "-500", "--b", "1", "--c", "1", "--z", "1e3999"],
+     "estimated_digits 2004500 exceeds safety cap 100000"),
+]
+
+
 def matches(fixture: Path, out: bytes) -> bool:
     """Whether ``out`` is the fixture's bytes, or has its digest if it is a ``*.sha256`` file."""
     if fixture.name.endswith(".sha256"):
@@ -111,36 +150,47 @@ def matches(fixture: Path, out: bytes) -> bool:
     return out == fixture.read_bytes()
 
 
-def ci_main(table=None, golden_dir=GOLDEN_DIR) -> int:
-    """Check each fixture of ``table`` (GOLDEN and CI_ONLY) in a fresh interpreter; 0 if all match, else 1.
+def ci_main(table=None, golden_dir=GOLDEN_DIR, rejected=REJECTED) -> int:
+    """Check each fixture of ``table`` (GOLDEN and CI_ONLY) and each ``rejected`` input in a fresh
+    interpreter; 0 if all match, else 1.
 
     Each command runs as ``python -X dev -W error -m fibcheb.cli``, each
-    ``verify`` once on one worker and once on two, and each run must end
-    within 30 s with the fixture's exit code and output and nothing on stderr:
-    development mode warns of a file left unclosed and, on 3.12+, of a fork
-    while threads run.  One line per run names it, with the stderr of a failing run.
+    fixture's ``verify`` once on one worker and once on two, and each run must
+    end within 30 s with the fixture's exit code and output and nothing on
+    stderr: development mode warns of a file left unclosed and, on 3.12+, of a
+    fork while threads run.  A rejected input runs once, as given, and must
+    exit 2 with nothing on stdout and its one ``error:`` line on stderr.  The
+    first line names the package imported, then one line per run names it,
+    with the exit code and stderr of a failing run.
     """
     table = {**GOLDEN, **CI_ONLY} if table is None else table
+    print(f"checking {fibcheb.__file__}")
+    # (label, command, exit code, stdout's fixture or None for an empty stdout, stderr)
+    runs = [
+        (name, command, code, golden_dir / name, b"")
+        for name, (argv, code) in sorted(table.items())
+        for command in ([[*argv, "--workers", w] for w in "12"] if argv[0] == "verify" else [argv])
+    ]
+    runs += [("rejected", argv, 2, None, f"error: {message}\n".encode()) for argv, message in rejected]
     failed = 0
-    for name, (argv, code) in sorted(table.items()):
-        for command in [[*argv, "--workers", w] for w in "12"] if argv[0] == "verify" else [argv]:
-            start = time.perf_counter()
-            with subprocess.Popen([sys.executable, "-X", "dev", "-W", "error", "-m", "fibcheb.cli", *command],
-                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True) as run:
-                try:
-                    out, err = run.communicate(timeout=30)
-                    ok = run.returncode == code and not err and matches(golden_dir / name, out)
-                    err = err.decode(errors="replace")
-                except subprocess.TimeoutExpired:
-                    # the run's forked workers share its process group: end them with it
-                    os.killpg(run.pid, signal.SIGKILL)
-                    run.communicate()
-                    ok, err = False, "timed out after 30 s\n"
-            print(f"{'ok' if ok else 'FAIL'} {time.perf_counter() - start:6.2f} s  {name}: {' '.join(command)}")
-            if not ok:
-                failed += 1
-                print(err, end="")
-    print(f"{failed} runs failed" if failed else "every run matched its fixture")
+    for label, command, code, fixture, stderr in runs:
+        start = time.perf_counter()
+        with subprocess.Popen([sys.executable, "-X", "dev", "-W", "error", "-m", "fibcheb.cli", *command],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True) as run:
+            try:
+                out, err = run.communicate(timeout=30)
+                ok = (run.returncode, err) == (code, stderr) and (matches(fixture, out) if fixture else not out)
+                err = err.decode(errors="replace")
+            except subprocess.TimeoutExpired:
+                # the run's forked workers share its process group: end them with it
+                os.killpg(run.pid, signal.SIGKILL)
+                run.communicate()
+                ok, err = False, "timed out after 30 s\n"
+        print(f"{'ok' if ok else 'FAIL'} {time.perf_counter() - start:6.2f} s  {label}: {' '.join(command)}")
+        if not ok:
+            failed += 1
+            print(f"exit {run.returncode}\n{err}", end="")
+    print(f"{failed} runs failed" if failed else "every run matched")
     return 1 if failed else 0
 
 
@@ -152,6 +202,12 @@ def test_output_matches_fixture(name, capsys):
     assert code == expected_code
 
 
+@pytest.mark.parametrize("argv, message", REJECTED, ids=[" ".join(argv) for argv, _ in REJECTED])
+def test_rejected_input_is_one_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_every_fixture_is_checked():
     assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted([*GOLDEN, *CI_ONLY])
 
@@ -160,21 +216,29 @@ def test_every_command_parses_and_leaves_the_workers_to_ci_main():
     for argv, _ in {**GOLDEN, **CI_ONLY}.values():
         build_parser().parse_args(argv)
         assert "--workers" not in argv, argv
+    for argv, _ in REJECTED:  # the command rejects each, not argparse
+        build_parser().parse_args(argv)
 
 
+EVAL = ["eval", "--a", "-1", "--b", "2", "--c", "3", "--z", "-4"]
 EVAL_DIGEST = hashlib.sha256(b"11/3\n").hexdigest()
+CAPPED = ["table", "--direction", "f-in-t", "--jmax", "5", "--cap", "1"]
 
 
-@pytest.mark.parametrize("digest, code, result", [
-    (EVAL_DIGEST, 0, 0),
-    ("0" * 64, 0, 1),
-    (EVAL_DIGEST, 2, 1),
-], ids=["right", "wrong-digest", "wrong-exit-code"])
-def test_ci_main_fails_a_wrong_digest_or_exit_code(tmp_path, capsys, digest, code, result):
+@pytest.mark.parametrize("digest, code, rejected, result", [
+    (EVAL_DIGEST, 0, [], 0),
+    ("0" * 64, 0, [], 1),
+    (EVAL_DIGEST, 2, [], 1),
+    (EVAL_DIGEST, 0, [(CAPPED, "jmax 5 exceeds safety cap 1")], 0),
+    (EVAL_DIGEST, 0, [(CAPPED, "jmax 5 exceeds safety cap 2")], 1),
+    (EVAL_DIGEST, 0, [(EVAL, "jmax 5 exceeds safety cap 1")], 1),  # exits 0
+], ids=["right", "wrong-digest", "wrong-exit-code", "rejected", "wrong-message", "accepted"])
+def test_ci_main_fails_a_wrong_digest_or_exit_code(tmp_path, capsys, digest, code, rejected, result):
     (tmp_path / "eval.sha256").write_text(digest + "\n")
-    table = {"eval.sha256": (["eval", "--a", "-1", "--b", "2", "--c", "3", "--z", "-4"], code)}
-    assert ci_main(table, tmp_path) == result
-    assert ("FAIL" in capsys.readouterr().out) == bool(result)
+    assert ci_main({"eval.sha256": (EVAL, code)}, tmp_path, rejected) == result
+    out = capsys.readouterr().out
+    assert out.startswith(f"checking {fibcheb.__file__}\n")
+    assert ("FAIL" in out) == bool(result)
 
 
 if __name__ == "__main__":
