@@ -5,19 +5,23 @@ as a PiMultiple so comparisons stay exact.  Two fully independent exact routes
 give the value (closed monomial moments, and each factor's expansion in the
 matching Chebyshev basis followed by orthogonality), and a Gauss-Chebyshev
 quadrature on the factors' own float recurrences is a third, non-exact check.
-The moment route reads one cached integer per even moment, a[n] = 2^(2n+1)
-int x^(2n) w / pi (``_moment``), summed by one Horner pass (``_moment_dot``)
-for a single polynomial (``weighted_integral``) and for a row's vector alike.
-The published closed forms are evaluated alongside and compared against the
-oracle value, which is always the one returned.
+The moment route reads the even moments a[n] = 2^(2n+1) int x^(2n) w / pi,
+integers held in one list per weight and extended on demand (``_moments``),
+summed by one Horner pass (``_moment_dot``) for a single polynomial
+(``weighted_integral``) and for a row's vector alike.  The published closed
+forms are evaluated alongside and compared against the oracle value, which
+is always the one returned.
 
 The pairs of a sweep come row by row: F_{j+1} times each P_k, k <= j.  What
 depends on the row alone is kept in a small cache keyed by the row factor
-and the weight (``_Row``): F_{j+1}'s integer moment vector, one dot product
-per pair, and one Gauss-Chebyshev rule of j + 1 nodes, exact for every
-product of the row, with F_{j+1} valued at its nodes once and the second
-factor advanced one recurrence step per k.  Each is filled only as far as
-the pairs asked for need.
+and the weight (``_Row``): F_{j+1}'s integer moment vector, a dense list,
+and one Gauss-Chebyshev rule of j + 1 nodes, exact for every product of the
+row, with F_{j+1} valued at its nodes once and the second factor advanced
+one recurrence step per k.  Each is filled only as far as the pairs asked
+for need.  So each route of a pair is one loop in C over flat vectors: the
+moment vector against the second factor's numerators, the two factors'
+dense expansions against each other, and the rule's weights against the two
+factors' node values.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
+from operator import add, mul, neg
 from typing import Callable, Iterator, Optional
 
 from .connection import Direction, oracle_expand, row as expansion_row
@@ -41,6 +47,8 @@ class Weight(Enum):
 
     FIRST_KIND = "1/sqrt(1-x^2)"
     SECOND_KIND = "sqrt(1-x^2)"
+
+    __hash__ = object.__hash__  # identity-compared singletons, hashed in C
 
 
 class PiMultiple:
@@ -101,25 +109,34 @@ class PiMultiple:
 ZERO_PI = PiMultiple(0)
 
 
-@lru_cache(maxsize=None)
-def _moment(n: int, weight: Weight) -> int:
-    """a[n] = 2^(2n+1) / pi times the weighted integral of x^(2n); odd moments vanish by symmetry.
+# weight -> [a[0], a[1], ...], the even moments computed so far (``_moments``)
+_MOMENTS: dict[Weight, list[int]] = {weight: [] for weight in Weight}
 
+
+def _moments(weight: Weight, count: int) -> list[int]:
+    """The list a[0], a[1], ... of ``weight``, extended to at least ``count`` entries.
+
+    a[n] = 2^(2n+1) / pi times the weighted integral of x^(2n); odd moments vanish by symmetry.
     First kind:  2 C(2n, n)        Second kind:  Catalan(n) = C(2n, n) / (n + 1)
     """
-    central = binomial(2 * n, n)
-    return 2 * central if weight is Weight.FIRST_KIND else central // (n + 1)
+    a = _MOMENTS[weight]
+    for n in range(len(a), count):
+        central = binomial(2 * n, n)
+        a.append(2 * central if weight is Weight.FIRST_KIND else central // (n + 1))
+    return a
 
 
 def _moment_dot(nums: tuple[int, ...], i: int, degree: int, weight: Weight) -> int:
-    """The sum over l, l + i even, of nums[l] a[n] 4^(degree - n), n = (l + i) / 2, a[n] = _moment(n, weight).
+    """The sum over l, l + i even, of nums[l] a[n] 4^(degree - n), n = (l + i) / 2, a = _moments(weight).
 
     That is 2^(2 degree + 1) / pi times the weighted integral of x^i sum_l nums[l] x^l,
     an integer for (len(nums) - 1 + i) / 2 <= degree: one Horner pass in powers of 4.
     """
     acc, last = 0, (len(nums) - 1 + i) // 2
-    for l in range(i % 2, len(nums), 2):
-        acc = (acc << 2) + nums[l] * _moment((l + i) // 2, weight)
+    # l runs over i % 2, i % 2 + 2, ...; its n over (i + 1) // 2, (i + 1) // 2 + 1, ..., last
+    a = islice(_moments(weight, last + 1), (i + 1) // 2, None)
+    for c, m in zip(islice(nums, i % 2, None, 2), a):
+        acc = (acc << 2) + c * m
     return acc << 2 * (degree - last)
 
 
@@ -161,17 +178,22 @@ def _degree(factor: Factor) -> int:
 
 
 @lru_cache(maxsize=None)
-def _expansion_over(factor: Factor, weight: Weight) -> tuple[dict[int, int], int]:
-    """(nums, den): ``factor`` over T (first kind) or U (second kind), the elimination oracle's row keyed by index.
+def _expansion_over(factor: Factor, weight: Weight) -> tuple[tuple[int, ...], int]:
+    """(nums, den): ``factor`` over T (first kind) or U (second kind), the elimination oracle's row made dense.
 
-    The nonzero coefficients are nums[n] / den, with den their least common
-    denominator: a power of two for every family member, since x^n is
-    2^(1-n) (first kind) or 2^-n (second kind) times an integer combination.
+    The coefficient of member n is nums[n] / den, for n up to the factor's
+    top index (0 where the oracle has no term), and () for the zero factor;
+    den is the least common denominator: a power of two for every family
+    member, since x^n is 2^(1-n) (first kind) or 2^-n (second kind) times an
+    integer combination.
     """
     basis, index = factor
     target = Basis.CHEBYSHEV_T if weight is Weight.FIRST_KIND else Basis.CHEBYSHEV_U
     indices, nums, den = oracle_expand(basis.member(index), target)
-    return dict(zip(indices, nums)), den
+    dense = [0] * (indices[0] + 1 if indices else 0)  # indices run from the top down
+    for n, c in zip(indices, nums):
+        dense[n] = c
+    return tuple(dense), den
 
 
 def weighted_integral_by_expansion(factors: tuple[Factor, Factor], weight: Weight) -> PiMultiple:
@@ -183,10 +205,11 @@ def weighted_integral_by_expansion(factors: tuple[Factor, Factor], weight: Weigh
     numerators and is reduced once.  Independent of the moment route: no
     product polynomial and no moment is built.
     """
-    (a, a_den), (b, b_den) = (_expansion_over(factor, weight) for factor in factors)
-    total = sum(c * b[n] for n, c in a.items() if n in b)
-    if weight is Weight.FIRST_KIND:
-        total += a.get(0, 0) * b.get(0, 0)
+    a, a_den = _expansion_over(factors[0], weight)
+    b, b_den = _expansion_over(factors[1], weight)
+    total = sum(map(mul, a, b))
+    if weight is Weight.FIRST_KIND and a and b:
+        total += a[0] * b[0]
     return PiMultiple(Fraction(total, 2 * a_den * b_den))
 
 
@@ -204,53 +227,53 @@ def _members_at_nodes(basis: Basis, xs: list[float]) -> Iterator[tuple[list[floa
         prev, cur, e = [1.0] * len(xs), [0.0] * len(xs), 0  # F_{-1}, F_0
         while True:
             yield cur, e
-            prev, cur = cur, [x * a + b for x, a, b in zip(xs, cur, prev)]
+            prev, cur = cur, list(map(add, map(mul, xs, cur), prev))  # x F_n + F_{n-1}
             if cur[0] > 2.0**500:
                 prev, cur, e = [v * 2.0**-500 for v in prev], [v * 2.0**-500 for v in cur], e + 500
     cur, steps = [1.0] * len(xs), [2 * (x - 1) for x in xs]
     diff = [1 - x for x in xs] if basis is Basis.CHEBYSHEV_T else cur  # P_0 - P_{-1}
     while True:
         yield cur, 0
-        diff = [d + c * a for d, c, a in zip(diff, steps, cur)]
-        cur = [a + d for a, d in zip(cur, diff)]
+        diff = list(map(add, diff, map(mul, steps, cur)))  # d + 2(x - 1) P_n
+        cur = list(map(add, cur, diff))
 
 
 class _Row:
     """What the pairs of one row factor P (F_{j+1} in a sweep) and one weight share.
 
     With d the degree of P: the moments v[i] = 2^(2d+1) den(P) int P x^i w / pi,
-    integers because each even moment's denominator divides 2^(2d+1), each one
-    ``_moment_dot`` over P's numerators when a pair first needs it; and the
-    Gauss-Chebyshev rule of d + 1 nodes, exact for degree <= 2d + 1 and so for
-    P times any factor of degree <= d, with P valued at its nodes once and
-    each second basis by a running recurrence, advanced one step per index and
-    only as far as asked.
+    integers because each even moment's denominator divides 2^(2d+1), held as
+    the dense list v[0], v[1], ... and extended, each entry by one
+    ``_moment_dot`` over P's numerators, to the length of the longest second
+    factor asked for; v[i] = 0 when i + d is odd, since P x^i is then odd.
+    And the Gauss-Chebyshev rule of d + 1 nodes, exact for degree <= 2d + 1
+    and so for P times any factor of degree <= d, its weights a flat list,
+    with P valued at its nodes once and each second basis by a running
+    recurrence, advanced one step per index and only as far as asked.
     """
 
     def __init__(self, factor: Factor, weight: Weight):
         self.factor, self.weight = factor, weight
         self.degree = _degree(factor)
         self.nums, self.den = factor[0].member(factor[1]).integer_form()
-        self.moments: dict[int, int] = {}  # i -> v[i]
-        self.nodes = quadrature_nodes(weight, max(self.degree, 0) + 1)
-        self.xs = [x for x, _ in self.nodes]
+        self.moments: list[int] = []  # v[0], v[1], ...
+        count = max(self.degree, 0) + 1
+        nodes = quadrature_nodes(weight, count)
+        self.xs, self.ws = [x for x, _ in nodes], [w for _, w in nodes]
+        self.mirrored = count // 2  # the nodes x > 0: for odd count the last node is x = 0
         self._values: Optional[tuple[list[float], int]] = None
         self._running: dict[Basis, list] = {}  # basis -> [index, iterator, (values, e)]
-
-    def moment(self, i: int) -> int:
-        """v[i] = _moment_dot(nums, i, d, weight), computed once."""
-        v = self.moments.get(i)
-        if v is None:
-            v = self.moments[i] = _moment_dot(self.nums, i, self.degree, self.weight)
-        return v
 
     def integral(self, factor: Factor) -> PiMultiple:
         """The weighted integral of P times ``factor``: one integer dot product with v, reduced once."""
         nums, den = factor[0].member(factor[1]).integer_form()
         if not (nums and self.nums):
             return ZERO_PI
-        total = sum(c * self.moment(i) for i, c in enumerate(nums) if c)
-        return PiMultiple(Fraction(total, (den * self.den) << (2 * self.degree + 1)))
+        v = self.moments
+        if len(v) < len(nums):
+            d, weight = self.degree, self.weight
+            v += [0 if (i + d) % 2 else _moment_dot(self.nums, i, d, weight) for i in range(len(v), len(nums))]
+        return PiMultiple(Fraction(sum(map(mul, nums, v)), (den * self.den) << (2 * self.degree + 1)))
 
     def _at_nodes(self, factor: Factor) -> tuple[list[float], int]:
         basis, index = factor
@@ -266,9 +289,11 @@ class _Row:
         if self._values is None:
             self._values = self._at_nodes(self.factor)
         (first, e), (second, f) = self._values, self._at_nodes(factor)
-        half = [w * (u * v) for (_, w), u, v in zip(self.nodes, first, second)]
-        sign = -1.0 if (self.degree + _degree(factor)) % 2 else 1.0  # p(-x) = sign p(x)
-        return half + [sign * t for (x, _), t in zip(self.nodes, half) if x], e + f  # x = 0 counts once
+        half = list(map(mul, self.ws, map(mul, first, second)))  # w (u v)
+        mirror = half[:self.mirrored]  # x = 0 counts once
+        if (self.degree + _degree(factor)) % 2:  # p(-x) = -p(x)
+            mirror = list(map(neg, mirror))
+        return half + mirror, e + f
 
 
 @lru_cache(maxsize=8)

@@ -61,7 +61,7 @@ class RunConfig(NamedTuple):
             raise ValueError(f"unknown suite {self.suite!r}")
         check_limits(self.safety_cap, jmax=self.jmax, qmax=self.qmax)
         if self.workers < 1:
-            raise ValueError("worker count must be positive")
+            raise ValueError(f"workers must be positive, got {self.workers}")
 
 
 def check_limits(cap: int, **values: int) -> None:

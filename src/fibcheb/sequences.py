@@ -19,16 +19,19 @@ class Basis(Enum):
     """The three triangular polynomial families handled by the library, by table label.
 
     ``shift`` is index minus degree: the connection formulae pair F_{j+1}, of
-    degree j, with T_j and U_j.
+    degree j, with T_j and U_j.  The members are singletons compared by
+    identity, so they hash by identity too, in C: the integral sweep hashes
+    them in a cache key per pair.
     """
 
     FIBONACCI = "F"
     CHEBYSHEV_T = "T"
     CHEBYSHEV_U = "U"
 
-    @property
-    def shift(self) -> int:
-        return 1 if self is Basis.FIBONACCI else 0
+    __hash__ = object.__hash__
+
+    def __init__(self, label: str):
+        self.shift = 1 if label == "F" else 0
 
     def member(self, index: int) -> Polynomial:
         """F_index, T_index or U_index, by a constructor looked up when called (a replaced one is honored)."""

@@ -90,10 +90,11 @@ def test_cli_import_loads_every_module_the_tracer_wraps():
     assert fresh(probe) == ["10"]
 
 
-def after_runs(runs, report):
-    """The stdout words of ``report`` run by ``fresh`` after cli.main, output discarded, ran each of ``runs``."""
+def after_runs(runs, report, setup=""):
+    """The stdout words of ``report`` run by ``fresh`` after ``setup``, then cli.main, output discarded, ran each
+    of ``runs``."""
     probe = (
-        "import contextlib, io, sys\nfrom fibcheb import cli\n"
+        f"import contextlib, io, sys\nfrom fibcheb import cli\n{setup}"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    for run in {runs!r}:\n        cli.main(run)\n"
     )
     return fresh(probe + report)
@@ -105,14 +106,22 @@ def test_every_cache_is_reread():
         ["verify", "--suite", "all", "--jmax", "8", "--qmax", "3"],
         ["table", "--direction", "f-in-t", "--jmax", "20"],
     ]
+    # The even moments are one list per weight, extended on demand: a read that extends nothing is a hit.
+    setup = (
+        "from fibcheb import integrals\n"
+        "moments, reread = integrals._moments, []\n"
+        "integrals._moments = lambda weight, count: (\n"
+        "    reread.append(len(integrals._MOMENTS[weight]) >= count) or moments(weight, count))\n"
+    )
     report = (
+        "print(f'fibcheb.integrals._MOMENTS={sum(reread)}')\n"
         "for name, module in sorted(sys.modules.items()):\n"
         "    for attr, value in vars(module).items():\n"
         "        if name.startswith('fibcheb.') and hasattr(value, 'cache_info') and value.__module__ == name:\n"
         "            print(f'{name}.{attr}={value.cache_info().hits}')\n"
     )
-    hits = dict(word.split("=") for word in after_runs(runs, report))
-    assert "fibcheb.hypergeometric.eval_2f1" in hits, sorted(hits)
+    hits = dict(word.split("=") for word in after_runs(runs, report, setup))
+    assert {"fibcheb.hypergeometric.eval_2f1", "fibcheb.integrals._MOMENTS"} <= set(hits), sorted(hits)
     # The one exception: no command calls connection.expand, which serves the library's callers;
     # its cache stays because the benchmark tracer (benchmarks/layers.py CACHED) reads its cache_info().
     assert [name for name, count in hits.items() if count == "0"] == ["fibcheb.connection.expand"]

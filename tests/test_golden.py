@@ -104,6 +104,9 @@ CI_ONLY = {
     # the rows' moment vectors at large j
     "verify_integrals_j120.json.sha256": (
         ["verify", "--suite", "integrals", "--jmax", "120", "--format", "json"], 0),
+    # every quadrature deviation's bits at scale, on rows of up to 201 nodes
+    "verify_integrals_j200.json.sha256": (
+        ["verify", "--suite", "integrals", "--jmax", "200", "--format", "json"], 0),
     # the full sweep's text report
     "verify_all_j30_q5.txt.sha256": (
         ["verify", "--suite", "all", "--jmax", "30", "--qmax", "5", "--format", "text"], 0),
@@ -122,7 +125,7 @@ REJECTED = [
     (["verify", "--suite", "lemma", "--jmax", "501"], "jmax 501 exceeds safety cap 500"),
     (["verify", "--suite", "lemma", "--jmax", "0", "--cap", "-3"], "safety cap must be nonnegative, got -3"),
     (["verify", "--suite", "cor52", "--jmax", "0", "--qmax", "501"], "qmax 501 exceeds safety cap 500"),
-    (["verify", "--suite", "lemma", "--jmax", "3", "--workers", "0"], "worker count must be positive"),
+    (["verify", "--suite", "lemma", "--jmax", "3", "--workers", "0"], "workers must be positive, got 0"),
     (["integrate", "--kind", "fu", "--j", "1", "--k", "3"], "requires j >= k >= 0, got j=1, k=3"),
     (["integrate", "--kind", "ft", "--j", "99999999999999999999", "--k", "0"],
      "j 99999999999999999999 exceeds safety cap 2500"),

@@ -85,6 +85,94 @@ def moment_sum(p, weight):
     )
 
 
+def reference_moment(n, weight):
+    """Reference: a[n] = 2^(2n+1) / pi times the weighted integral of x^(2n), one central binomial each."""
+    central = binomial(2 * n, n)
+    return 2 * central if weight is Weight.FIRST_KIND else central // (n + 1)
+
+
+def reference_members_at_nodes(basis, xs):
+    """Reference: ``integrals._members_at_nodes`` by comprehensions over zip, the same float operations."""
+    if basis is Basis.FIBONACCI:
+        prev, cur, e = [1.0] * len(xs), [0.0] * len(xs), 0
+        while True:
+            yield cur, e
+            prev, cur = cur, [x * a + b for x, a, b in zip(xs, cur, prev)]
+            if cur[0] > 2.0**500:
+                prev, cur, e = [v * 2.0**-500 for v in prev], [v * 2.0**-500 for v in cur], e + 500
+    cur, steps = [1.0] * len(xs), [2 * (x - 1) for x in xs]
+    diff = [1 - x for x in xs] if basis is Basis.CHEBYSHEV_T else cur
+    while True:
+        yield cur, 0
+        diff = [d + c * a for d, c, a in zip(diff, steps, cur)]
+        cur = [a + d for a, d in zip(cur, diff)]
+
+
+class ReferenceRow:
+    """Reference: one row's moment route and quadrature terms element by element.
+
+    The same integer and float operations as ``integrals._Row``, written per
+    element: each moment v[i] by a method that runs the Horner pass and keeps
+    it in a dict, the dot product as a generator over the nonzero
+    coefficients, and the quadrature terms by unpacking (x, w) node tuples,
+    the mirrored half by a sign and a test of x.
+    """
+
+    def __init__(self, factor, weight):
+        basis, index = factor
+        self.weight, self.degree = weight, index - basis.shift
+        self.nums, self.den = basis.member(index).integer_form()
+        self.moments = {}
+        self.nodes = quadrature_nodes(weight, max(self.degree, 0) + 1)
+        self.xs = [x for x, _ in self.nodes]
+        self.values = next(islice(reference_members_at_nodes(basis, self.xs), index, None))
+
+    def moment(self, i):
+        v = self.moments.get(i)
+        if v is None:
+            acc, last = 0, (len(self.nums) - 1 + i) // 2
+            for l in range(i % 2, len(self.nums), 2):
+                acc = (acc << 2) + self.nums[l] * reference_moment((l + i) // 2, self.weight)
+            v = self.moments[i] = acc << 2 * (self.degree - last)
+        return v
+
+    def integral(self, factor):
+        nums, den = factor[0].member(factor[1]).integer_form()
+        if not (nums and self.nums):
+            return PiMultiple(0)
+        total = sum(c * self.moment(i) for i, c in enumerate(nums) if c)
+        return PiMultiple(Fraction(total, (den * self.den) << (2 * self.degree + 1)))
+
+    def quadrature_terms(self, factor, values):
+        """(terms, e) for the row factor times ``factor``, whose node values are ``values``."""
+        (first, e), (second, f) = self.values, values
+        half = [w * (u * v) for (_, w), u, v in zip(self.nodes, first, second)]
+        sign = -1.0 if (self.degree + factor[1] - factor[0].shift) % 2 else 1.0
+        return half + [sign * t for (x, _), t in zip(self.nodes, half) if x], e + f
+
+
+def reference_expansion(factor, weight):
+    """Reference: the factor's oracle row over T or U as a dict keyed by index, and its denominator."""
+    basis, index = factor
+    target = Basis.CHEBYSHEV_T if weight is Weight.FIRST_KIND else Basis.CHEBYSHEV_U
+    indices, nums, den = connection.oracle_expand(basis.member(index), target)
+    return dict(zip(indices, nums)), den
+
+
+def reference_by_expansion(expansions, weight):
+    """Reference: the orthogonality sum over two dict rows, the keys of the first looked up in the second."""
+    (a, a_den), (b, b_den) = expansions
+    total = sum(c * b[n] for n, c in a.items() if n in b)
+    if weight is Weight.FIRST_KIND:
+        total += a.get(0, 0) * b.get(0, 0)
+    return PiMultiple(Fraction(total, 2 * a_den * b_den))
+
+
+def bits(terms):
+    """The floats' exact bits, so that -0.0 differs from 0.0."""
+    return [t.hex() for t in terms]
+
+
 class TestPiMultiple:
     def test_arithmetic_and_equality(self):
         a = PiMultiple(Fraction(3, 2))
@@ -181,7 +269,10 @@ class TestExpansionOracleAgreement:
         for weight, direction in ((Weight.FIRST_KIND, Direction.F_IN_T), (Weight.SECOND_KIND, Direction.F_IN_U)):
             for j in range(31):
                 indices, nums, den = connection.row(j, direction)
-                assert integrals._expansion_over((F, j + 1), weight) == (dict(zip(indices, nums)), den), (weight, j)
+                dense = [0] * (max(indices) + 1)
+                for n, c in zip(indices, nums):
+                    dense[n] = c
+                assert integrals._expansion_over((F, j + 1), weight) == (tuple(dense), den), (weight, j)
 
     def test_odd_products_vanish(self):
         for factors in (((F, 3), (T, 1)), ((F, 8), (T, 4)), ((F, 4), (U, 0)), ((F, 5), (F, 6))):
@@ -352,7 +443,7 @@ class TestRowCache:
                 sequences, name, lambda n, name=name, original=original: requested.append((name, n)) or original(n)
             )
         integrals._row.cache_clear()
-        supports = set()
+        longest = 0
         for k in (0, 5, 12, 12, 7):
             second = (basis, k + basis.shift)
             # the expansion route reads every member of its target basis up to
@@ -364,10 +455,61 @@ class TestRowCache:
             assert set(requested) <= {("fibonacci_poly", j + 1), (constructors[basis], k + basis.shift)}, k
             row = integrals._row((F, j + 1), weight)
             nums, _ = basis.member(k + basis.shift).integer_form()
-            supports |= {i for i, c in enumerate(nums) if c}
-            assert set(row.moments) == supports, k
+            # the moment vector reaches the longest second factor asked for, and no further;
+            # F_31 P x^i is odd, and its moment 0, for odd i
+            longest = max(longest, len(nums))
+            assert len(row.moments) == longest, k
+            assert not any(row.moments[1::2]), k
             index, _, _ = row._running[basis]
             assert index == k + basis.shift
+
+
+class TestPairKernels:
+    """Each route of a pair, on flat vectors, against its per-element reference."""
+
+    def test_each_route_equals_its_reference(self):
+        # every pair of the sweep up to jmax 40: both parities of j + k, and for even j
+        # (an odd node count) the rule's node x = 0, which the mirrored half skips
+        integrals._row.cache_clear()
+        for weight in Weight:
+            expansions = {}
+
+            def expansion(factor):
+                if factor not in expansions:
+                    expansions[factor] = reference_expansion(factor, weight)
+                return expansions[factor]
+
+            for j in range(41):
+                row = ReferenceRow((F, j + 1), weight)
+                assert (row.nodes[-1][0] == 0.0) == (j % 2 == 0)  # j + 1 nodes
+                for basis in Basis:
+                    values = list(islice(reference_members_at_nodes(basis, row.xs), j + 1 + basis.shift))
+                    for k in range(j + 1):
+                        second = (basis, k + basis.shift)
+                        factors = ((F, j + 1), second)
+                        where = (j, k, basis, weight)
+                        assert weighted_integral_by_moments(factors, weight) == row.integral(second), where
+                        assert weighted_integral_by_expansion(factors, weight) == reference_by_expansion(
+                            (expansion(factors[0]), expansion(second)), weight), where
+                        terms, e = integrals._quadrature_terms(factors, weight)
+                        expected, f = row.quadrature_terms(second, values[second[1]])
+                        assert (bits(terms), e) == (bits(expected), f), where
+                # the dense moment vector holds the reference's moments, and 0 where i + j is odd
+                vector = integrals._row((F, j + 1), weight).moments
+                assert len(vector) == j + 1
+                assert vector == [row.moment(i) for i in range(j + 1)], (j, weight)
+
+    def test_quadrature_terms_past_the_rescaling_equal_the_reference(self):
+        # F_800(1) and F_801(1) are about 2^555: each factor's values are scaled by 2^-500 once
+        integrals._row.cache_clear()
+        for weight in Weight:
+            row = ReferenceRow((F, 801), weight)
+            for basis, index in ((F, 799), (F, 800), (T, 2), (U, 3)):
+                values = next(islice(reference_members_at_nodes(basis, row.xs), index, None))
+                expected, f = row.quadrature_terms((basis, index), values)
+                assert f == (1000 if basis is F else 500)
+                terms, e = integrals._quadrature_terms(((F, 801), (basis, index)), weight)
+                assert (bits(terms), e) == (bits(expected), f), (basis, index, weight)
 
 
 class TestFibonacciChebyshevFirstKind:
