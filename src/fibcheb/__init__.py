@@ -28,7 +28,7 @@ _EXPORTS = {
     "quadrature_check quadrature_deviation weighted_integral weighted_integral_by_expansion "
     "weighted_integral_by_moments",
     "polynomials": "Polynomial",
-    "report": "Check Report Status Verdict",
+    "report": "Check Report Status",
     "runner": "RunConfig run_sweep summarize",
     "scalars": "GaussianRational binomial sqrt_pi_over_gamma",
     "sequences": "Basis c_norm cheb_deriv_at_1 chebyshev_t chebyshev_u fibonacci_deriv_at_1 fibonacci_number "

@@ -149,8 +149,7 @@ def _cmd_verify(args) -> int:
         workers=args.workers,
         safety_cap=args.cap,
     )
-    verdicts = runner.run_sweep(config, args.output_format)
-    summary = runner.summarize(config, verdicts)
+    summary = runner.summarize(config, runner.run_sweep(config, args.output_format))
     if args.output_format == "json":
         # Written a record at a time, like a table a row at a time.
         write = sys.stdout.write

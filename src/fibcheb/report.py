@@ -50,20 +50,6 @@ class Check(NamedTuple):
         return self.lhs == self.rhs
 
 
-class Verdict(NamedTuple):
-    """What a sweep keeps of one report: its identity, status value and record
-    as the report prints it, or None where it prints none (a Pass, or an
-    Unevaluable report in the text report).
-
-    It is made of strings alone, so a sweep's child sends it back without the
-    report's exact values: the parent rebuilds no number or dict from one.
-    """
-
-    identity: str
-    status: str
-    record: str | None
-
-
 class Report(NamedTuple):
     identity: str
     params: tuple[tuple[str, object], ...]

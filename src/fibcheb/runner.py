@@ -1,32 +1,33 @@
 """Deterministic sweep runner behind the ``verify`` command.
 
 Tasks are pure and independent, so they may be settled in several processes.
-Every task is settled where it runs, in the calling process or in a child,
-into a ``Verdict``: the report's identity, status and record, as the output
-format prints it (``Report.json_record`` writes a JSON record straight from
-the report, and ``Report.text_line`` a line of the text report).  A sweep on
-n workers splits its tasks into n shares: share w holds the tasks whose
-degree (a task's first argument, j or n) is w mod n.  The calling process
-settles share 0 itself while n - 1 children settle the rest, one share each,
-and each child sends its verdicts back over its own one-way pipe.  The
-children are ``multiprocessing`` processes started by fork, or by spawn where
-the platform has no fork.  The caches under the verifiers are keyed by
-degree, so no two processes fill the same entries.  The verdicts are put back
-in the order of the tasks (suites in ``SUITES`` order, each grid in its own
-numeric order), so the emitted report is byte-identical regardless of worker
-count.  The parent keeps status counts and record strings alone, and writes
-the JSON report one record at a time.
+A sweep on n workers has n shares: share w holds the tasks whose degree (a
+task's first argument, j or n) is w mod n.  Each process walks the task grid
+and settles its own share alone, into status counts and the records that the
+output format prints (``Report.json_record`` writes a JSON record straight
+from the report, and ``Report.text_line`` a line of the text report), each
+with its task's position.  The calling process settles share 0 while n - 1
+children, ``multiprocessing`` processes started by fork (or by spawn where
+the platform has no fork), settle one share each and send back their counts
+and records over their own one-way pipes.  The caches under the verifiers are
+keyed by degree, so no two processes fill the same entries.  The records are
+merged by position, that is in task order (suites in ``SUITES`` order, each
+grid in its own numeric order), so the emitted report is byte-identical
+regardless of worker count.  The parent writes the JSON report one record at
+a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from . import connection, identities, integrals
-from .report import Check, Report, Status, Verdict, encode_basestring_ascii, make_report
+from .report import Check, Report, Status, encode_basestring_ascii, make_report
 from .sequences import Basis
 
 DEFAULT_SAFETY_CAP = 500
@@ -79,9 +80,9 @@ def check_limits(cap: int, **values: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The suite registry.  A task is a plain picklable tuple (family, *args):
-# SUITES maps each suite to its task grid over (jmax, qmax), in emission
-# order, and FAMILIES maps each family, the identity its verifier reports, to
+# The suite registry.  A task is a plain tuple (family, *args): SUITES maps
+# each suite to its task grid over (jmax, qmax), yielded in emission order,
+# and FAMILIES maps each family, the identity its verifier reports, to
 # that verifier, looked up when called, so a replaced module attribute (a
 # tracing wrapper, say) is honored.  ``integrals.KINDS`` declares the four
 # integral families.
@@ -143,41 +144,41 @@ FAMILIES = {
 }
 
 SUITES = {
-    "cor51": lambda jmax, qmax: [
-        *[("cor5.1-T", j) for j in range(1, jmax + 1)],
-        *[("cor5.1-U", j) for j in range(1, jmax + 1)],
-        *[("cor5.1-fib", j) for j in range(jmax + 1)],
-    ],
-    "cor52": lambda jmax, qmax: [
+    "cor51": lambda jmax, qmax: itertools.chain(
+        (("cor5.1-T", j) for j in range(1, jmax + 1)),
+        (("cor5.1-U", j) for j in range(1, jmax + 1)),
+        (("cor5.1-fib", j) for j in range(jmax + 1)),
+    ),
+    "cor52": lambda jmax, qmax: (
         ("cor5.2", j, q) for j in range(jmax + 1) for q in range(1, qmax + 1)
-    ],
-    "complex": lambda jmax, qmax: [("complex", n) for n in range(jmax + 1)],
-    "chain": lambda jmax, qmax: [("cor5.1-chain", j) for j in range(jmax + 1)],
-    "laurent": lambda jmax, qmax: [
+    ),
+    "complex": lambda jmax, qmax: (("complex", n) for n in range(jmax + 1)),
+    "chain": lambda jmax, qmax: (("cor5.1-chain", j) for j in range(jmax + 1)),
+    "laurent": lambda jmax, qmax: (
         ("laurent", j, x0) for j in range(jmax + 1) for x0 in LAURENT_POINTS
-    ],
-    "trig": lambda jmax, qmax: [("trig", j) for j in range(jmax + 1)],
-    "fib2f1": lambda jmax, qmax: [("fib-2f1", n) for n in range(1, jmax + 1)],
-    "lemma": lambda jmax, qmax: [
+    ),
+    "trig": lambda jmax, qmax: (("trig", j) for j in range(jmax + 1)),
+    "fib2f1": lambda jmax, qmax: (("fib-2f1", n) for n in range(1, jmax + 1)),
+    "lemma": lambda jmax, qmax: (
         ("lemma", j, m) for j in range(2, jmax + 1) for m in range(1, j // 2 + 1)
-    ],
-    "connection": lambda jmax, qmax: [
+    ),
+    "connection": lambda jmax, qmax: (
         ("connection", j, direction.value)
         for direction in connection.Direction
         for j in range(direction.min_index, jmax + 1)
-    ],
-    "integrals": lambda jmax, qmax: [
+    ),
+    "integrals": lambda jmax, qmax: (
         (family, j, k)
         for j in range(jmax + 1)
         for k in range(j + 1)
         for family, _ in integrals.KINDS.values()
-    ],
+    ),
 }
 
 
-def build_tasks(config: RunConfig) -> list[Task]:
+def build_tasks(config: RunConfig) -> Iterator[Task]:
     suites = SUITES if config.suite == "all" else (config.suite,)
-    return [task for suite in suites for task in SUITES[suite](config.jmax, config.qmax)]
+    return (task for suite in suites for task in SUITES[suite](config.jmax, config.qmax))
 
 
 def execute_task(task: Task) -> Report:
@@ -203,18 +204,27 @@ def execute_task(task: Task) -> Report:
         )
 
 
-def settle_all(tasks: list[Task], output_format: str) -> list[Verdict]:
-    """The verdicts of ``tasks`` in order, for the ``output_format`` report: a sweep or a share."""
-    verdicts = []
-    for report in map(execute_task, tasks):
+def settle_all(config: RunConfig, output_format: str, share: int = 0, size: int = 1) -> tuple[Counter, list]:
+    """Share ``share`` of ``size`` of the configured sweep, the tasks whose
+    degree is ``share`` mod ``size``, settled for the ``output_format`` report.
+
+    Returns ``(counts, records)``: a count per (identity, status value), and
+    the (task position, record) of each report the format prints, in task order.
+    """
+    counts = Counter()
+    records = []
+    for position, task in enumerate(build_tasks(config)):
+        if task[1] % size != share:
+            continue
+        report = execute_task(task)
+        counts[report.identity, report.status.value] += 1
         if report.status is Status.PASS:
-            record = None
-        elif output_format == "json":
-            record = report.json_record()
-        else:  # the text report prints no line for an Unevaluable record
-            record = None if report.status is Status.UNEVALUABLE else report.text_line()
-        verdicts.append(Verdict(report.identity, report.status.value, record))
-    return verdicts
+            continue
+        if output_format == "json":
+            records.append((position, report.json_record()))
+        elif report.status is not Status.UNEVALUABLE:  # which the text report prints no line for
+            records.append((position, report.text_line()))
+    return counts, records
 
 
 def pool_context():
@@ -227,14 +237,14 @@ def pool_context():
     return multiprocessing.get_context(method)
 
 
-def _settle_share(writer, share: list[Task], output_format: str) -> None:
-    """A child's work: settle its share and send the verdicts to the parent."""
+def _settle_share(writer, config: RunConfig, output_format: str, share: int, size: int) -> None:
+    """A child's work: settle its share and send the counts and records to the parent."""
     with writer:
-        writer.send(settle_all(share, output_format))
+        writer.send(settle_all(config, output_format, share, size))
 
 
-def _receive(child, reader) -> list[Verdict]:
-    """The verdicts ``child`` sent, once it has exited.
+def _receive(child, reader) -> tuple[Counter, list]:
+    """The counts and records ``child`` sent, once it has exited.
 
     Raises ValueError when it exited nonzero, was killed, or sent nothing.
     """
@@ -252,42 +262,39 @@ def _receive(child, reader) -> list[Verdict]:
     raise ValueError(f"a sweep worker {cause}")
 
 
-def run_sweep(config: RunConfig, output_format: str = "text") -> list[Verdict]:
-    """The verdicts of the configured tasks, in ``build_tasks`` order, for the ``output_format`` report.
+def run_sweep(config: RunConfig, output_format: str = "text") -> list[tuple[Counter, list]]:
+    """The ``settle_all`` result of each share of the configured sweep, for the ``output_format`` report.
 
     Raises ValueError for an invalid config or a failed child.
     """
     config.validate()
-    tasks = build_tasks(config)
-    # The sweep never takes more processes than there are CPUs, tasks or
-    # degrees; the output does not depend on the count.
-    degrees = {task[1] for task in tasks}
-    size = max(1, min(config.workers, os.cpu_count() or 1, len(degrees)))
+    # The sweep never takes more processes than there are CPUs it may run on,
+    # tasks or degrees; the output does not depend on the count.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    degrees = {task[1] for task in build_tasks(config)}
+    size = max(1, min(config.workers, cpus, len(degrees)))
     if size == 1:
-        return settle_all(tasks, output_format)
-    shares = [[] for _ in range(size)]
-    for task in tasks:
-        shares[task[1] % size].append(task)
+        return [settle_all(config, output_format)]
     ctx = pool_context()
     children = []
     try:
-        for share in shares[1:]:
+        for share in range(1, size):
             reader, writer = ctx.Pipe(duplex=False)
             # The parent closes its copy of the write end at once, so that a
             # child that dies reads as EOF instead of blocking the parent.
             with writer:
-                child = ctx.Process(target=_settle_share, args=(writer, share, output_format))
+                child = ctx.Process(target=_settle_share, args=(writer, config, output_format, share, size))
                 child.start()
             children.append((child, reader))
-        settled = [iter(settle_all(shares[0], output_format))]
-        settled += [iter(_receive(child, reader)) for child, reader in children]
+        settled = [settle_all(config, output_format, 0, size)]
+        settled += [_receive(child, reader) for child, reader in children]
     finally:  # on any error, no child is left running
         for child, reader in children:
             reader.close()
             if child.exitcode is None:
                 child.terminate()
             child.join()
-    return [next(settled[task[1] % size]) for task in tasks]
+    return settled
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +302,19 @@ def run_sweep(config: RunConfig, output_format: str = "text") -> list[Verdict]:
 # ---------------------------------------------------------------------------
 
 
-def summarize(config: RunConfig, verdicts: list[Verdict]) -> dict:
-    """Status counts, overall and per identity, and the verdicts' record strings in verdict order."""
+def summarize(config: RunConfig, settled: list[tuple[Counter, list]]) -> dict:
+    """Status counts, overall and per identity, and the record strings in task
+    order, of the settled shares that ``run_sweep`` returns."""
     zero = {s.value: 0 for s in Status}
     counts = dict(zero)
     per_identity: dict[str, dict[str, int]] = {}
-    for v in verdicts:
-        counts[v.status] += 1
-        if v.identity not in per_identity:
-            per_identity[v.identity] = dict(zero)
-        per_identity[v.identity][v.status] += 1
+    records = []
+    for share_counts, share_records in settled:
+        for (identity, status), count in share_counts.items():
+            counts[status] += count
+            per_identity.setdefault(identity, dict(zero))[status] += count
+        records += share_records
+    records.sort()  # by task position, each one distinct
     return {
         "config": {
             "suite": config.suite,
@@ -313,7 +323,7 @@ def summarize(config: RunConfig, verdicts: list[Verdict]) -> dict:
         },
         "counts": counts,
         "per_identity": per_identity,
-        "records": [v.record for v in verdicts if v.record is not None],
+        "records": [record for _, record in records],
     }
 
 

@@ -218,13 +218,13 @@ def test_criterion_9_integrals():
 def test_criterion_10_determinism_and_runtime():
     started = time.monotonic()
     config_one = RunConfig(suite="all", jmax=30, qmax=5, workers=1)
-    verdicts_one = run_sweep(config_one, "json")
+    settled_one = run_sweep(config_one, "json")
     config_two = RunConfig(suite="all", jmax=30, qmax=5, workers=2)
-    verdicts_two = run_sweep(config_two, "json")
+    settled_two = run_sweep(config_two, "json")
     elapsed = time.monotonic() - started
 
-    json_one = render_json(summarize(config_one, verdicts_one))
-    json_two = render_json(summarize(config_two, verdicts_two))
+    json_one = render_json(summarize(config_one, settled_one))
+    json_two = render_json(summarize(config_two, settled_two))
     identical = json_one == json_two
     no_failures = json.loads(json_one)["counts"]["Fail"] == 0
     fast_enough = elapsed < 60.0

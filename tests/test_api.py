@@ -56,7 +56,7 @@ def test_lookup_reads_the_home_module_each_time(monkeypatch):
     assert fibcheb.expand is connection.expand
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "fibonacci_poly_power_form", "pochhammer", "even_moment"])
+@pytest.mark.parametrize("name", ["no_such_name", "fibonacci_poly_power_form", "pochhammer", "even_moment", "Verdict"])
 def test_unknown_name_raises_the_standard_attribute_error(name):
     with pytest.raises(AttributeError, match=rf"^module 'fibcheb' has no attribute '{name}'$"):
         getattr(fibcheb, name)

@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,13 +62,23 @@ def deadline():
         signal.signal(signal.SIGALRM, previous)
 
 
+def limit_cpus(monkeypatch, affinity, cpu_count=None):
+    """A host of ``cpu_count`` CPUs, of which this process may run on
+    ``affinity``, or where the platform has no affinity (None), on any."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+
+
 class InlineContext:
     """A stand-in for ``runner.pool_context()`` that starts no process: each
-    child runs its target in this process as it is started, and its share is
-    recorded."""
+    child runs its target in this process as it is started, and its args
+    after the pipe end are recorded."""
 
     def __init__(self):
-        self.shares = []
+        self.started = []
         self.in_child = False
 
     def Pipe(self, duplex):
@@ -106,8 +117,7 @@ class InlineChild:
         self.ctx, self.target, self.args = ctx, target, args
 
     def start(self):
-        _writer, share, _output_format = self.args
-        self.ctx.shares.append(share)
+        self.ctx.started.append(self.args[1:])
         self.ctx.in_child = True
         try:
             self.target(*self.args)
@@ -407,34 +417,33 @@ class TestVerify:
         assert (failing.identity, failing.params) == (family, passing.params)
         assert passing.identity == family
 
-    def test_verdict_matches_report(self):
-        tasks = runner.build_tasks(runner.RunConfig(jmax=3, qmax=2))
-        assert {task[0] for task in tasks} == set(runner.FAMILIES)
-        statuses = set()
-        verdicts = zip(runner.settle_all(tasks, "json"), runner.settle_all(tasks, "text"), strict=True)
-        for task, (as_json, as_text) in zip(tasks, verdicts, strict=True):
-            report = runner.execute_task(task)
-            for verdict in (as_json, as_text):
-                assert verdict.identity == report.identity
-                assert verdict.status == report.status.value
-            json_record = runner._json_text(report.to_dict(), "    ")
-            assert as_json.record == (None if report.status is Status.PASS else json_record)
-            printed = report.status not in (Status.PASS, Status.UNEVALUABLE)
-            assert as_text.record == (report.text_line() if printed else None)
-            statuses.add(report.status)
-        assert statuses == {Status.PASS, Status.PAPER_ERRATUM, Status.UNEVALUABLE}
+    def test_settled_counts_and_records_match_the_reports(self):
+        config = runner.RunConfig(jmax=3, qmax=2)
+        reports = list(map(runner.execute_task, runner.build_tasks(config)))
+        assert {report.identity for report in reports} == set(runner.FAMILIES)
+        assert {report.status for report in reports} == {Status.PASS, Status.PAPER_ERRATUM, Status.UNEVALUABLE}
+        counts = Counter((report.identity, report.status.value) for report in reports)
+        # a Pass prints no record, and an Unevaluable report prints one in JSON only
+        as_json = [(position, runner._json_text(report.to_dict(), "    "))
+                   for position, report in enumerate(reports) if report.status is not Status.PASS]
+        as_text = [(position, report.text_line()) for position, report in enumerate(reports)
+                   if report.status not in (Status.PASS, Status.UNEVALUABLE)]
+        assert runner.settle_all(config, "json") == (counts, as_json)
+        assert runner.settle_all(config, "text") == (counts, as_text)
 
     @pytest.mark.parametrize("output_format", ["text", "json"])
-    def test_verdict_records_are_strings_and_text_omits_unevaluable(self, monkeypatch, output_format):
+    def test_settled_records_are_strings_and_text_omits_unevaluable(self, monkeypatch, output_format):
         def no_dict(report):
             raise AssertionError("a text sweep built a record dict")
 
         if output_format == "text":
             monkeypatch.setattr(Report, "to_dict", no_dict)
-        verdicts = runner.run_sweep(runner.RunConfig(suite="integrals", jmax=6), output_format)
-        assert {v.status for v in verdicts} == {"Pass", "PaperErratum", "Unevaluable"}
-        assert all(v.record is None or isinstance(v.record, str) for v in verdicts)
-        printed = {v.status for v in verdicts if v.record is not None}
+        config = runner.RunConfig(suite="integrals", jmax=6)
+        [(counts, records)] = runner.run_sweep(config, output_format)
+        assert {status for _, status in counts} == {"Pass", "PaperErratum", "Unevaluable"}
+        assert all(isinstance(record, str) for _, record in records)
+        tasks = list(runner.build_tasks(config))
+        printed = {runner.execute_task(tasks[position]).status.value for position, _ in records}
         assert printed == ({"PaperErratum"} if output_format == "text" else {"PaperErratum", "Unevaluable"})
 
     def test_text_line_of_a_fail_without_residuals(self):
@@ -470,17 +479,21 @@ class TestVerify:
         assert record["residual"] == str(value - value)
         assert report.text_line() == f"x(v={text}): Fail printed_residual={text} corrected_residual={text}"
 
-    def test_raising_task_verdict_carries_the_error(self, monkeypatch):
+    def test_raising_task_record_carries_the_error(self, monkeypatch):
         def chain_raising(j):
             raise ZeroDivisionError("injected")
 
         monkeypatch.setitem(runner.FAMILIES, "cor5.1-chain", chain_raising)
         report = runner.execute_task(("cor5.1-chain", 3))
-        [as_json] = runner.settle_all([("cor5.1-chain", 3)], "json")
-        [as_text] = runner.settle_all([("cor5.1-chain", 3)], "text")
-        assert as_json == ("cor5.1-chain", "Fail", runner._json_text(report.to_dict(), "    "))
-        assert json.loads(as_json.record)["error"] == "ZeroDivisionError: injected"
-        assert as_text == ("cor5.1-chain", "Fail", "cor5.1-chain(j=3): Fail error=ZeroDivisionError: injected")
+        # share 3 of 4 of chain at jmax 3: its one task of degree 3, the fourth
+        config = runner.RunConfig(suite="chain", jmax=3)
+        counts, [(position, as_json)] = runner.settle_all(config, "json", 3, 4)
+        assert (counts, position) == ({("cor5.1-chain", "Fail"): 1}, 3)
+        assert as_json == runner._json_text(report.to_dict(), "    ")
+        assert json.loads(as_json)["error"] == "ZeroDivisionError: injected"
+        assert runner.settle_all(config, "text", 3, 4) == (
+            counts, [(3, "cor5.1-chain(j=3): Fail error=ZeroDivisionError: injected")]
+        )
 
     def test_json_record_is_the_dict_written_for_every_report_of_a_sweep(self, monkeypatch):
         reports = [runner.execute_task(task) for task in runner.build_tasks(runner.RunConfig(jmax=12, qmax=5))]
@@ -501,15 +514,17 @@ class TestVerify:
             raise AssertionError("a JSON sweep built a record dict")
 
         monkeypatch.setattr(Report, "to_dict", no_dict)
-        verdicts = runner.run_sweep(runner.RunConfig(suite="integrals", jmax=6), "json")
-        assert {v.status for v in verdicts if v.record is not None} == {"PaperErratum", "Unevaluable"}
+        [(_, records)] = runner.run_sweep(runner.RunConfig(suite="integrals", jmax=6), "json")
+        assert {json.loads(record)["status"] for _, record in records} == {"PaperErratum", "Unevaluable"}
 
     @pytest.mark.parametrize(
-        "workers, cpus, expected",
-        # lemma at jmax 6 has 9 tasks of 5 degrees (j = 2 .. 6)
-        [(5000, 4, 4), (3, 4, 3), (2, None, 1), (5000, 64, 5)],
+        "workers, affinity, cpu_count, expected",
+        # lemma at jmax 6 has 9 tasks of 5 degrees (j = 2 .. 6); the CPUs are
+        # those this process may run on, or where the platform has no
+        # affinity (None), os.cpu_count(), of which None counts as one
+        [(5000, 4, 64, 4), (3, 4, 4, 3), (2, 1, 2, 1), (2, None, 2, 2), (2, None, None, 1), (5000, 64, 64, 5)],
     )
-    def test_pool_is_bounded_by_cpus_and_tasks(self, monkeypatch, workers, cpus, expected):
+    def test_pool_is_bounded_by_cpus_and_tasks(self, monkeypatch, workers, affinity, cpu_count, expected):
         # children run in this process: no real child is ever started with a
         # large count, and none of one worker
         contexts = []
@@ -519,39 +534,55 @@ class TestVerify:
             return contexts[-1]
 
         monkeypatch.setattr(runner, "pool_context", inline_pool)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+        limit_cpus(monkeypatch, affinity, cpu_count)
         config = runner.RunConfig(suite="lemma", jmax=6, workers=workers)
-        assert len(runner.build_tasks(config)) == 9
-        verdicts = runner.run_sweep(config)
-        assert [len(ctx.shares) + 1 for ctx in contexts] == ([] if expected == 1 else [expected])
-        serial = runner.run_sweep(runner.RunConfig(suite="lemma", jmax=6, workers=1))
-        assert verdicts == serial
+        assert sum(1 for _ in runner.build_tasks(config)) == 9
+        settled = runner.run_sweep(config)
+        assert len(settled) == expected
+        assert [len(ctx.started) + 1 for ctx in contexts] == ([] if expected == 1 else [expected])
+        serial = runner.run_sweep(config._replace(workers=1))
+        assert runner.summarize(config, settled) == runner.summarize(config, serial)
 
     def test_pool_shares_are_the_residue_classes_of_the_degree(self, monkeypatch):
         # of three shares, the caller settles share 0 after it started two
         # children, for shares 1 and 2; they run in this process
         ctx = InlineContext()
-        settled = []
+        calls = []  # (share, size, settled in a child, the tasks it executed)
 
-        def recording_settle_all(tasks, output_format):
-            settled.append((tasks, ctx.in_child))
-            return settle_all(tasks, output_format)
+        def recording_settle_all(config, output_format, share=0, size=1):
+            calls.append((share, size, ctx.in_child, []))
+            return settle_all(config, output_format, share, size)
 
-        settle_all = runner.settle_all
+        def recording_execute_task(task):
+            calls[-1][3].append(task)
+            return execute_task(task)
+
+        settle_all, execute_task = runner.settle_all, runner.execute_task
         monkeypatch.setattr(runner, "settle_all", recording_settle_all)
+        monkeypatch.setattr(runner, "execute_task", recording_execute_task)
         monkeypatch.setattr(runner, "pool_context", lambda: ctx)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)
+        limit_cpus(monkeypatch, 3)
         config = runner.RunConfig(jmax=7, qmax=2, workers=3)
-        tasks = runner.build_tasks(config)
-        shares = [[task for task in tasks if task[1] % 3 == w] for w in range(3)]
+        positions = {task: position for position, task in enumerate(runner.build_tasks(config))}
         for output_format in ("text", "json"):
-            ctx.shares.clear()
-            settled.clear()
-            verdicts = runner.run_sweep(config, output_format)
-            assert ctx.shares == shares[1:]
-            assert settled == [(shares[1], True), (shares[2], True), (shares[0], False)]
-            serial = runner.run_sweep(runner.RunConfig(jmax=7, qmax=2), output_format)
-            assert verdicts == serial == settle_all(tasks, output_format)
+            ctx.started.clear()
+            calls.clear()
+            settled = runner.run_sweep(config, output_format)
+            # each child's args carry the config and its share, and no task
+            assert ctx.started == [(config, output_format, 1, 3), (config, output_format, 2, 3)]
+            assert [call[:3] for call in calls] == [(1, 3, True), (2, 3, True), (0, 3, False)]
+            # the shares' positions cover every task exactly once
+            executed = sorted(positions[task] for *_, tasks in calls for task in tasks)
+            assert executed == list(range(len(positions)))
+            for share, _, _, tasks in calls:  # each share holds one residue class of the degree
+                assert {task[1] % 3 for task in tasks} == {share}
+            # run_sweep returns share 0 first; each share's records are its own tasks', in task order
+            for (_, records), (*_, tasks) in zip(settled, [calls[2], calls[0], calls[1]], strict=True):
+                record_positions = [position for position, _ in records]
+                assert record_positions == sorted(record_positions)
+                assert set(record_positions) <= {positions[task] for task in tasks}
+            serial = runner.run_sweep(config._replace(workers=1), output_format)
+            assert runner.summarize(config, settled) == runner.summarize(config, serial)
 
     def test_a_single_degree_starts_no_pool(self, capsys, monkeypatch):
         # integrals at jmax 0 are four tasks, all of degree 0
@@ -559,7 +590,7 @@ class TestVerify:
             raise AssertionError("a child was started for a single degree")
 
         monkeypatch.setattr(runner, "pool_context", no_pool)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        limit_cpus(monkeypatch, 2)
         code, out, _ = run_cli(capsys, "verify", "--suite", "integrals", "--jmax", "0", "--workers", "2")
         assert code == 0
         assert "result: OK (0 failing)" in out
@@ -579,21 +610,30 @@ class TestVerify:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
         assert runner.pool_context().get_start_method() == "spawn"
 
-    def test_spawned_children_give_the_same_verdicts(self, monkeypatch, deadline):
+    def test_spawned_children_give_the_same_report(self, monkeypatch, deadline):
         # one real child, started by spawn: it imports fibcheb afresh and
-        # receives its share and pipe end pickled
+        # receives its pipe end, the config and its share pickled
         spawn = multiprocessing.get_context("spawn")
+        started = []
+
+        def recording_process(target, args):
+            started.append(args[1:])
+            return type(spawn).Process(target=target, args=args)
+
+        monkeypatch.setattr(spawn, "Process", recording_process)
         monkeypatch.setattr(runner, "pool_context", lambda: spawn)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        limit_cpus(monkeypatch, 2)
         config = runner.RunConfig(suite="lemma", jmax=6, workers=2)
-        assert runner.run_sweep(config, "json") == runner.run_sweep(config._replace(workers=1), "json")
+        pooled = runner.summarize(config, runner.run_sweep(config, "json"))
+        assert started == [(config, "json", 1, 2)]  # the config and no task
+        assert pooled == runner.summarize(config, runner.run_sweep(config._replace(workers=1), "json"))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the dying family tells the child by its pid, after a fork")
     @pytest.mark.parametrize("death, cause", [
         ("SIGKILL", "was killed by signal 9"),
-        # execute_task turns an Exception into a Fail verdict; SystemExit is none
+        # execute_task turns an Exception into a Fail report; SystemExit is none
         ("SystemExit(3)", "exited with code 3"),
     ], ids=["SIGKILL", "SystemExit"])
     def test_a_failed_child_is_a_clean_error(self, capsys, monkeypatch, deadline, death, cause):
@@ -609,7 +649,7 @@ class TestVerify:
             return lemma(j, m)
 
         monkeypatch.setitem(runner.FAMILIES, "lemma", lemma_dying_in_a_child)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        limit_cpus(monkeypatch, 2)
         code, out, err = run_cli(capsys, "verify", "--suite", "lemma", "--jmax", "6", "--workers", "2")
         assert (code, out) == (2, "")
         assert err == f"error: a sweep worker {cause} before sending its verdicts\n"
@@ -627,7 +667,7 @@ class TestVerify:
         names = "{'concurrent.futures', 'multiprocessing', 'logging', 'queue'}"
         probe = (
             "import contextlib, io, os, sys, threading\n"
-            "os.cpu_count = lambda: 2  # two workers make a child on any host\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}  # two workers make a child on any host\n"
             "import fibcheb.cli\n"
             "argv = sys.argv[1:]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
